@@ -258,8 +258,8 @@ func BenchmarkExecBatch(b *testing.B) {
 // similarity join over synthetic fixed-width documents fed through
 // pkg/assign's Source option — records are generated on the fly, never
 // materialized as an input slice — and drained through Each. Every iteration
-// pushes the full C(m,2) > 1M candidate pair stream through the pipelined
-// map→partition→reduce engine (audit included); the records/s metric counts
+// pushes the full C(m,2) > 1M candidate pair stream through the
+// reducer-indexed route→reduce engine (audit included); the records/s metric counts
 // reducer-side record reads, two per owned pair. The schema is planned once
 // before the timer via the canonicalization cache, so iterations measure
 // execution, not solving.

@@ -461,7 +461,7 @@ type executeRequest struct {
 	// ReturnPairs includes the processed pair IDs in the response (capped).
 	ReturnPairs bool `json:"return_pairs,omitempty"`
 	// MemoryBudget, when positive, bounds the execution's in-memory shuffle
-	// bytes; over-budget reduce partitions spill sorted run files to disk
+	// bytes; over-budget reduce partitions spill run files to disk
 	// and merge them back at reduce time. Output is unchanged; the response
 	// reports the realized spill volume.
 	MemoryBudget int64 `json:"memory_budget,omitempty"`

@@ -82,7 +82,7 @@ func run(args []string, out io.Writer) error {
 	fmt.Fprintln(out, "output verified against the reference hash join: OK")
 
 	if *baseline && res.Plan.NumReducers > 0 {
-		base, err := skewjoin.HashJoinBaseline(x, y, res.Plan.NumReducers, assign.Size(*q), true)
+		base, err := skewjoin.HashJoinBaseline(x, y, res.Plan.NumReducers, assign.Size(*q))
 		if err != nil {
 			return err
 		}
@@ -90,9 +90,9 @@ func run(args []string, out io.Writer) error {
 			"max_load", "violates_q", "load_ratio_vs_skew_aware")
 		ratio := 0.0
 		if res.Counters.MaxReducerLoad > 0 {
-			ratio = float64(base.Counters.MaxReducerLoad) / float64(res.Counters.MaxReducerLoad)
+			ratio = float64(base.MaxReducerLoad) / float64(res.Counters.MaxReducerLoad)
 		}
-		btbl.AddRow(base.Counters.MaxReducerLoad, base.CapacityViolated, ratio)
+		btbl.AddRow(base.MaxReducerLoad, base.CapacityViolated, ratio)
 		if err := btbl.WriteText(out); err != nil {
 			return err
 		}

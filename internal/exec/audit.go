@@ -212,7 +212,7 @@ func (t *Trace) processedBy(a, b int) []int {
 
 // schemaIndex holds everything derived from a schema and an instance shape
 // that is independent of the request's payload bytes: the per-input reducer
-// assignment slices the mappers replicate along, and the bitset membership
+// assignment slices the routing replicates along, and the bitset membership
 // rows (one CoverSet over reducer indexes per input) that owner election,
 // coverage checks, and trace replay run on. Batch execution builds it once
 // per distinct schema and shares it across jobs.
@@ -529,7 +529,7 @@ func (a *Auditor) CheckTrace(tr *Trace) error {
 	return nil
 }
 
-// CheckLoads verifies the engine's measured per-partition loads against the
+// CheckLoads verifies the engine's measured per-reducer loads against the
 // exact byte loads the schema's routing prescribes. It is a no-op when the
 // auditor was built without expected loads (i.e. outside Run).
 func (a *Auditor) CheckLoads(c *mr.Counters) error {

@@ -23,7 +23,7 @@ type BatchOptions struct {
 // requests: results[i] belongs to reqs[i] and is nil when that job failed.
 // Per-job failures do not stop the other jobs; they are aggregated (with
 // their job index and name) into the returned error. Cancelling the context
-// stops dispatching new jobs, cancels the running ones mid-pipeline (unless
+// stops dispatching new jobs, cancels the running ones mid-run (unless
 // a job carries its own Ctx), and marks every undispatched job failed with
 // the context's error.
 func RunBatch(ctx context.Context, reqs []Request, opts BatchOptions) ([]*Result, error) {
@@ -50,7 +50,7 @@ func RunBatch(ctx context.Context, reqs []Request, opts BatchOptions) ([]*Result
 			for i := range idx {
 				r := reqs[i]
 				if r.Ctx == nil {
-					// The batch context now cancels running jobs mid-pipeline,
+					// The batch context now cancels running jobs mid-run,
 					// not just undispatched ones.
 					r.Ctx = ctx
 				}

@@ -1,33 +1,35 @@
-// Package exec turns mapping schemas into running MapReduce jobs.
+// Package exec turns mapping schemas into running jobs.
 //
 // The algorithm packages (a2a, x2y) and the planner decide, ahead of time,
 // which reducers every input must be replicated to so that all required pairs
 // of inputs meet under the reducer-capacity bound q. That decision — a
 // core.MappingSchema — is only a plan. exec is the execution layer that
-// realises it: Run compiles a schema plus user pair logic into an mr.Job and
-// executes it, and an always-on conformance harness proves afterwards that
-// what the planner promised is what the engine delivered.
+// realises it: Run compiles a schema plus user pair logic into an mr.Job on
+// the reducer-indexed core and executes it, and an always-on conformance
+// harness proves afterwards that what the planner promised is what the engine
+// delivered.
 //
 // # The schema-to-job compilation contract
 //
 // Run compiles a Request as follows:
 //
-//   - Every input byte slice becomes one engine record, framed with its side
-//     ("a" for the A2A set, "x"/"y" for the X2Y sides) and its input ID.
-//   - The mapper looks the record's ID up in the schema's assignments
-//     (mr.AssignmentsA2A / mr.AssignmentsX2Y) and emits one copy of the
-//     record per assigned reducer, keyed with mr.ReducerKey, routed by
-//     mr.SchemaPartitioner. Replication is therefore exactly what the schema
-//     declares — no more, no fewer copies.
-//   - The reducer reconstructs the records it received and invokes the user
-//     PairFunc once per required pair it owns. A schema may cover a pair at
-//     several reducers; the pair's owner is the lowest-indexed reducer
-//     assigned both inputs (mr.LowestCommonReducer), so every pair is
-//     processed exactly once across the whole job.
-//   - The job's engine-level capacity is the byte image of the schema's
-//     routing: the largest per-reducer load the compiled assignments can
-//     produce (framing and key overhead included). The schema-level capacity
-//     q is checked separately by the audit, in the schema's own size units.
+//   - Every input is one engine record: the A2A inputs in ID order, or the X
+//     side followed by the Y side, so a record's source index names its side
+//     and input ID. No framing is built.
+//   - The route looks the input up in the schema's assignments
+//     (mr.AssignmentsA2A / mr.AssignmentsX2Y) and ships the payload to every
+//     assigned reducer index. Replication is therefore exactly what the
+//     schema declares — no more, no fewer copies.
+//   - Each reducer receives its copies in source order (ascending IDs, X
+//     before Y) and invokes the user PairFunc once per required pair it owns.
+//     A schema may cover a pair at several reducers; the pair's owner is the
+//     lowest-indexed reducer assigned both inputs (Auditor.Owner), so every
+//     pair is processed exactly once across the whole job.
+//   - Every copy is charged mr.CopyBytes: the reducer tag, a side/ID header
+//     ("a|<id>|", "x|<id>|" or "y|<id>|"), and the payload. The job's
+//     engine-level capacity is the largest per-reducer load the routing can
+//     produce. The schema-level capacity q is checked separately by the
+//     audit, in the schema's own size units.
 //
 // # The conformance harness
 //

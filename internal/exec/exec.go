@@ -1,12 +1,10 @@
 package exec
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"time"
 
@@ -32,9 +30,9 @@ type PairFunc func(a, b Record, emit func([]byte)) error
 // Request describes one schema-driven execution.
 type Request struct {
 	// Ctx, when non-nil, carries the request's obs span so compile and audit
-	// stage timings land in the request trace, and cancels the run: every
-	// streaming stage selects on Ctx.Done(), so a cancelled context stops the
-	// engine mid-pipeline and cleans up any spill files.
+	// stage timings land in the request trace, and cancels the run: the
+	// engine checks it between records and between reducers, so a cancelled
+	// context stops the run mid-phase and cleans up any spill files.
 	Ctx context.Context
 	// Name labels the job in errors and results.
 	Name string
@@ -51,17 +49,20 @@ type Request struct {
 	// record i of the stream is input ID i, and InputSizes must declare the
 	// byte size of every record (the planner's declared sizes) so routing
 	// loads are known up front. A record whose actual size differs from its
-	// declared size fails the run. Streaming input is A2A-only.
+	// declared size fails the run. Streaming input is A2A-only. Cancelling
+	// Ctx ends the run even while a Next call is blocked: Run returns, and
+	// the blocked call's result is dropped when it comes back.
 	Source mr.Source
 	// InputSizes declares the record sizes of Source, indexed by input ID.
 	InputSizes []int
-	// Sink, when non-nil, receives output records as reduce partitions
-	// complete instead of materializing Result.Output. Records of one
-	// partition arrive in deterministic order; partitions interleave. A Sink
-	// error fails the run.
+	// Sink, when non-nil, receives output records as reducers complete
+	// instead of materializing Result.Output. Records of one reducer arrive
+	// in deterministic order; reducers interleave. Sink calls are
+	// serialized, and none is in flight once Run returns. A Sink error
+	// fails the run.
 	Sink func(rec []byte) error
 	// MemoryBudget, when positive, bounds the in-memory shuffle bytes of the
-	// run; over-budget partitions spill sorted run files to SpillDir (the OS
+	// run; over-budget partitions spill run files to SpillDir (the OS
 	// temp dir when empty) and merge them back at reduce time. Spill volume
 	// is reported in Counters and the pland_exec_spill_* metrics.
 	MemoryBudget int64
@@ -69,13 +70,8 @@ type Request struct {
 	SpillDir string
 	// Pair is the per-pair user logic; it is required.
 	Pair PairFunc
-	// Workers bounds reduce-phase parallelism; 0 means one worker per
-	// reducer.
+	// Workers is the size of the reduce worker pool; 0 means GOMAXPROCS.
 	Workers int
-	// MaxAttempts is passed through to the engine's task retry budget.
-	MaxAttempts int
-	// Engine runs the job; nil means a fresh mr.Engine.
-	Engine *mr.Engine
 	// NoAudit skips the conformance harness. The audit costs one trace entry
 	// per required pair, so very large instances whose schemas are already
 	// trusted can opt out.
@@ -147,9 +143,15 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 		obsRunsOK.Inc()
 		return res, nil
 	}
-	eng := req.Engine
-	if eng == nil {
-		eng = mr.NewEngine()
+	ctx := req.Ctx
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	src := mr.Source(mr.NewSliceSource(c.inputs()))
+	if req.Source != nil {
+		src = newStreamSource(ctx, req.Source, req.InputSizes, req.Name)
 	}
 	var sink mr.Sink
 	if req.Sink != nil {
@@ -168,7 +170,7 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 	}
 	endStream := sp.Stage("exec_stream")
 	obsPipelineDepth.Inc()
-	runRes, err := eng.RunStream(req.Ctx, c.job(), c.source(), sink, opts)
+	runRes, err := mr.RunStream(ctx, c.job(), src, sink, opts)
 	obsPipelineDepth.Dec()
 	endStream()
 	if err != nil {
@@ -203,19 +205,16 @@ func run(req Request, shared *schemaIndex) (*Result, error) {
 type compilation struct {
 	req     Request
 	schema  *core.MappingSchema
-	records [][]byte
 	idx     *schemaIndex
 	auditor *Auditor
 	trace   *Trace
-	// expectedLoads is the byte image of the schema's routing per reducer;
-	// expectedCopies is the matching record count per reducer.
-	expectedLoads  []int64
-	expectedCopies []int
+	// expectedLoads is the byte image of the schema's routing per reducer.
+	expectedLoads []int64
 }
 
-// compile validates the request and derives records, the schema index (or
-// adopts the shared one when it matches this schema and shape), the auditor,
-// and the engine job.
+// compile validates the request and derives the schema index (or adopts the
+// shared one when it matches this schema and shape), the expected loads, and
+// the auditor.
 func compile(req Request, shared *schemaIndex) (*compilation, error) {
 	schema := req.schema()
 	if schema == nil {
@@ -266,290 +265,199 @@ func compile(req Request, shared *schemaIndex) (*compilation, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.buildRecords()
 	c.computeExpectedLoads()
 	c.auditor = &Auditor{idx: c.idx, expectedLoads: c.expectedLoads}
 	return c, nil
 }
 
-// Record framing: one byte of side tag, the input ID, then the raw data:
-//
-//	"a|<id>|<data>"   (A2A)
-//	"x|<id>|<data>"   (X2Y, X side)    "y|<id>|<data>"   (X2Y, Y side)
-//
-// The data may contain any bytes; only the first two separators are parsed.
-
-const (
-	sideA byte = 'a'
-	sideX byte = 'x'
-	sideY byte = 'y'
-)
-
-func frameRecord(side byte, id int, data []byte) []byte {
-	idStr := strconv.Itoa(id)
-	out := make([]byte, 0, 3+len(idStr)+len(data))
-	out = append(out, side, '|')
-	out = append(out, idStr...)
-	out = append(out, '|')
-	return append(out, data...)
-}
-
-func parseRecord(rec []byte) (side byte, id int, data []byte, err error) {
-	if len(rec) < 2 || rec[1] != '|' {
-		return 0, 0, nil, fmt.Errorf("exec: malformed record %q", rec)
-	}
-	cut := bytes.IndexByte(rec[2:], '|')
-	if cut < 0 {
-		return 0, 0, nil, fmt.Errorf("exec: malformed record %q", rec)
-	}
-	id, err = strconv.Atoi(string(rec[2 : 2+cut]))
-	if err != nil {
-		return 0, 0, nil, fmt.Errorf("exec: malformed record ID in %q: %w", rec[:2+cut], err)
-	}
-	return rec[0], id, rec[2+cut+1:], nil
-}
-
-// buildRecords frames all request inputs into engine records. Streaming
-// requests frame lazily in the source instead.
-func (c *compilation) buildRecords() {
-	if c.req.Source != nil {
-		return
-	}
-	if c.schema.Problem == core.ProblemA2A {
-		c.records = make([][]byte, 0, len(c.req.Inputs))
-		for id, data := range c.req.Inputs {
-			c.records = append(c.records, frameRecord(sideA, id, data))
-		}
-		return
-	}
-	c.records = make([][]byte, 0, len(c.req.XInputs)+len(c.req.YInputs))
-	for id, data := range c.req.XInputs {
-		c.records = append(c.records, frameRecord(sideX, id, data))
-	}
-	for id, data := range c.req.YInputs {
-		c.records = append(c.records, frameRecord(sideY, id, data))
-	}
-}
-
-// assignmentsFor returns the reducer list of one framed record.
-func (c *compilation) assignmentsFor(side byte, id int) ([]int, error) {
-	switch side {
-	case sideA:
-		if c.schema.Problem != core.ProblemA2A || id < 0 || id >= len(c.idx.aAssign) {
-			return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-		}
-		return c.idx.aAssign[id], nil
-	case sideX:
-		if c.schema.Problem != core.ProblemX2Y || id < 0 || id >= len(c.idx.xAssign) {
-			return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-		}
-		return c.idx.xAssign[id], nil
-	case sideY:
-		if c.schema.Problem != core.ProblemX2Y || id < 0 || id >= len(c.idx.yAssign) {
-			return nil, fmt.Errorf("exec: record side %q ID %d out of range", side, id)
-		}
-		return c.idx.yAssign[id], nil
-	default:
-		return nil, fmt.Errorf("exec: unknown record side %q", side)
-	}
-}
-
-// framedSize returns len(frameRecord(side, id, data)) for a data payload of
-// dataLen bytes, without building the frame.
-func framedSize(id, dataLen int) int64 {
-	return int64(3 + len(strconv.Itoa(id)) + dataLen)
+// headerBytes is the size of the side/ID header ("a|<id>|", "x|<id>|" or
+// "y|<id>|") each shipped copy of input id is charged for.
+func headerBytes(id int) int {
+	var digits [20]byte
+	return 3 + len(strconv.AppendInt(digits[:0], int64(id), 10))
 }
 
 // computeExpectedLoads derives, per reducer, the exact engine byte load the
-// compiled assignments will produce — reducer key plus framed record, for
-// every assigned copy — and the expected record count per reducer (the
-// engine's partition pre-sizing hints). Streaming requests use the declared
-// InputSizes in place of the materialized data.
+// compiled assignments will produce: mr.CopyBytes of every assigned copy.
+// Streaming requests use the declared InputSizes in place of the
+// materialized data.
 func (c *compilation) computeExpectedLoads() {
-	n := c.schema.NumReducers()
-	loads := make([]int64, n)
-	copies := make([]int, n)
-	add := func(assign [][]int, side byte, dataLen func(id int) int) {
+	loads := make([]int64, c.schema.NumReducers())
+	add := func(assign [][]int, dataLen func(id int) int) {
 		for id, rs := range assign {
-			sz := framedSize(id, dataLen(id))
 			for _, r := range rs {
-				if r >= 0 && r < n {
-					loads[r] += int64(len(mr.ReducerKey(r))) + sz
-					copies[r]++
-				}
+				loads[r] += mr.CopyBytes(r, headerBytes(id), dataLen(id))
 			}
 		}
 	}
-	if c.schema.Problem == core.ProblemA2A {
-		if c.req.Source != nil {
-			add(c.idx.aAssign, sideA, func(id int) int { return c.req.InputSizes[id] })
-		} else {
-			add(c.idx.aAssign, sideA, func(id int) int { return len(c.req.Inputs[id]) })
-		}
-	} else {
-		add(c.idx.xAssign, sideX, func(id int) int { return len(c.req.XInputs[id]) })
-		add(c.idx.yAssign, sideY, func(id int) int { return len(c.req.YInputs[id]) })
+	switch {
+	case c.schema.Problem == core.ProblemX2Y:
+		add(c.idx.xAssign, func(id int) int { return len(c.req.XInputs[id]) })
+		add(c.idx.yAssign, func(id int) int { return len(c.req.YInputs[id]) })
+	case c.req.Source != nil:
+		add(c.idx.aAssign, func(id int) int { return c.req.InputSizes[id] })
+	default:
+		add(c.idx.aAssign, func(id int) int { return len(c.req.Inputs[id]) })
 	}
 	c.expectedLoads = loads
-	c.expectedCopies = copies
 }
 
-// job assembles the engine job: schema partitioning, replication-aware
-// mapping, owner-elected pair reduction, and the engine-level capacity bound
-// derived from the compiled routing.
+// job assembles the engine job: schema routing, owner-elected pair
+// reduction, and the engine-level capacity bound derived from the compiled
+// routing.
 func (c *compilation) job() *mr.Job {
 	var capacity int64
 	for _, l := range c.expectedLoads {
-		if l > capacity {
-			capacity = l
-		}
-	}
-	// The schema declares each partition's exact shape: one reducer key,
-	// expectedCopies[r] records, expectedLoads[r] bytes. The streaming engine
-	// pre-sizes its per-partition hash tables from these hints.
-	hints := make([]mr.PartitionHint, len(c.expectedLoads))
-	for r := range hints {
-		hints[r] = mr.PartitionHint{Keys: 1, Records: c.expectedCopies[r], Bytes: c.expectedLoads[r]}
+		capacity = max(capacity, l)
 	}
 	return &mr.Job{
-		Name:              c.req.Name,
-		Mapper:            c.mapper(),
-		Reducer:           c.reducer(),
-		NumReducers:       c.schema.NumReducers(),
-		Partitioner:       mr.SchemaPartitioner,
-		ReduceParallelism: c.req.Workers,
-		ReducerCapacity:   capacity,
-		MaxAttempts:       c.req.MaxAttempts,
-		PartitionHints:    hints,
+		Name:            c.req.Name,
+		NumReducers:     c.schema.NumReducers(),
+		Route:           c.route,
+		Reduce:          c.reduce,
+		ReducerCapacity: capacity,
+		Workers:         c.req.Workers,
 	}
 }
 
-// source returns the engine source of the run: the pre-framed records, or a
-// framing adapter over the request's streaming Source that assigns IDs in
-// arrival order and enforces the declared sizes.
-func (c *compilation) source() mr.Source {
-	if c.req.Source == nil {
-		return mr.NewSliceSource(c.records)
+// inputs returns the materialized engine records: the A2A inputs, or the X
+// side followed by the Y side.
+func (c *compilation) inputs() [][]byte {
+	if c.schema.Problem == core.ProblemA2A {
+		return c.req.Inputs
 	}
-	return &framingSource{src: c.req.Source, sizes: c.req.InputSizes, name: c.req.Name}
+	return append(append(make([][]byte, 0, len(c.req.XInputs)+len(c.req.YInputs)), c.req.XInputs...), c.req.YInputs...)
 }
 
-// framingSource adapts a raw record stream into framed engine records,
-// validating each record against its declared size. The schema (and its
-// audit) were planned for the declared sizes, so a mismatch fails fast
-// rather than executing a job whose routing no longer matches its inputs.
-type framingSource struct {
-	src   mr.Source
+// side maps an engine record index to its input ID and whether it is a
+// Y-side input: X2Y records list the X side first, then the Y side.
+func (c *compilation) side(idx int) (id int, isY bool) {
+	if numX := len(c.idx.xAssign); c.schema.Problem == core.ProblemX2Y && idx >= numX {
+		return idx - numX, true
+	}
+	return idx, false
+}
+
+// route replicates record idx to the reducers its schema assignment names.
+func (c *compilation) route(idx int, rec []byte) (mr.Route, error) {
+	id, isY := c.side(idx)
+	assign := c.idx.aAssign
+	switch {
+	case isY:
+		assign = c.idx.yAssign
+	case c.schema.Problem == core.ProblemX2Y:
+		assign = c.idx.xAssign
+	}
+	return mr.Route{Value: rec, Header: headerBytes(id), Reducers: assign[id]}, nil
+}
+
+// reduce elects this reducer's owned pairs among the records it received,
+// logs them into the trace, and applies the user PairFunc.
+func (c *compilation) reduce(self int, refs []mr.Ref, emit func([]byte)) error {
+	// Copies arrive in source order: ascending IDs, the X side before the Y
+	// side. A corrupted schema can list an input twice in one reducer; the
+	// repeated copy is dropped so it cannot double-process pairs (duplicate
+	// processing is the audit's signal for a pair covered at two owners, not
+	// for a doubled assignment).
+	var aRecs, bRecs []Record // A2A uses aRecs only; X2Y splits by side
+	for i, ref := range refs {
+		if i > 0 && ref.Index == refs[i-1].Index {
+			continue
+		}
+		id, isY := c.side(ref.Index)
+		if isY {
+			bRecs = append(bRecs, Record{ID: id, Data: ref.Value})
+		} else {
+			aRecs = append(aRecs, Record{ID: id, Data: ref.Value})
+		}
+	}
+	if c.schema.Problem == core.ProblemA2A {
+		for i, a := range aRecs {
+			for _, b := range aRecs[i+1:] {
+				if c.auditor.Owner(a.ID, b.ID) != self {
+					continue
+				}
+				c.trace.Record(self, a.ID, b.ID)
+				if err := c.req.Pair(a, b, emit); err != nil {
+					return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
+				}
+			}
+		}
+		return nil
+	}
+	for _, x := range aRecs {
+		for _, y := range bRecs {
+			if c.auditor.Owner(x.ID, y.ID) != self {
+				continue
+			}
+			c.trace.Record(self, x.ID, y.ID)
+			if err := c.req.Pair(x, y, emit); err != nil {
+				return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
+			}
+		}
+	}
+	return nil
+}
+
+// streamSource feeds the request's Source to the engine and holds it to the
+// declared sizes: the schema and its audit were planned for them, so a
+// record that contradicts them fails the run. A helper goroutine calls the
+// caller's Next, so a cancelled run ends even while that call is blocked;
+// the helper exits once the call comes back.
+type streamSource struct {
+	ctx   context.Context
+	recs  <-chan fetched
 	sizes []int
 	name  string
 	i     int
 }
 
-func (s *framingSource) Next() ([]byte, error) {
-	rec, err := s.src.Next()
-	if err != nil {
-		if errors.Is(err, io.EOF) && s.i != len(s.sizes) {
+// fetched is the outcome of one caller Next call.
+type fetched struct {
+	rec []byte
+	err error
+}
+
+// newStreamSource starts the helper goroutine; it stops when ctx ends.
+func newStreamSource(ctx context.Context, src mr.Source, sizes []int, name string) *streamSource {
+	// Read a few records ahead so the engine seldom waits on the hand-off.
+	recs := make(chan fetched, 64)
+	go func() {
+		for {
+			rec, err := src.Next()
+			select {
+			case recs <- fetched{rec, err}:
+			case <-ctx.Done():
+				return
+			}
+			if err != nil {
+				return
+			}
+		}
+	}()
+	return &streamSource{ctx: ctx, recs: recs, sizes: sizes, name: name}
+}
+
+// Next implements mr.Source.
+func (s *streamSource) Next() ([]byte, error) {
+	var f fetched
+	select {
+	case f = <-s.recs:
+	case <-s.ctx.Done():
+		return nil, s.ctx.Err()
+	}
+	if f.err != nil {
+		if errors.Is(f.err, io.EOF) && s.i != len(s.sizes) {
 			return nil, fmt.Errorf("exec: source for job %q ended after %d of %d declared records", s.name, s.i, len(s.sizes))
 		}
-		return nil, err
+		return nil, f.err
 	}
 	if s.i >= len(s.sizes) {
 		return nil, fmt.Errorf("exec: source for job %q produced more than the %d declared records", s.name, len(s.sizes))
 	}
-	if len(rec) != s.sizes[s.i] {
-		return nil, fmt.Errorf("exec: record %d of job %q is %d bytes, declared %d", s.i, s.name, len(rec), s.sizes[s.i])
+	if len(f.rec) != s.sizes[s.i] {
+		return nil, fmt.Errorf("exec: record %d of job %q is %d bytes, declared %d", s.i, s.name, len(f.rec), s.sizes[s.i])
 	}
-	framed := frameRecord(sideA, s.i, rec)
 	s.i++
-	return framed, nil
-}
-
-// mapper replicates every record to the reducers its schema assignment names.
-func (c *compilation) mapper() mr.Mapper {
-	return mr.MapperFunc(func(record []byte, emit func(mr.Pair)) error {
-		side, id, _, err := parseRecord(record)
-		if err != nil {
-			return err
-		}
-		rs, err := c.assignmentsFor(side, id)
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			emit(mr.Pair{Key: mr.ReducerKey(r), Value: record})
-		}
-		return nil
-	})
-}
-
-// reducer reconstructs the records of one partition, elects this reducer's
-// owned pairs, logs them into the trace, and applies the user PairFunc.
-func (c *compilation) reducer() mr.Reducer {
-	return mr.ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-		self, err := mr.ParseReducerKey(key)
-		if err != nil {
-			return fmt.Errorf("exec: unexpected reducer key %q: %w", key, err)
-		}
-		var aRecs, bRecs []Record // A2A uses aRecs only; X2Y splits by side
-		for _, v := range values {
-			side, id, data, err := parseRecord(v)
-			if err != nil {
-				return err
-			}
-			switch side {
-			case sideA, sideX:
-				aRecs = append(aRecs, Record{ID: id, Data: data})
-			case sideY:
-				bRecs = append(bRecs, Record{ID: id, Data: data})
-			default:
-				return fmt.Errorf("exec: unknown record side %q", side)
-			}
-		}
-		aRecs = sortAndDedupeRecords(aRecs)
-		bRecs = sortAndDedupeRecords(bRecs)
-		if c.schema.Problem == core.ProblemA2A {
-			for i := 0; i < len(aRecs); i++ {
-				for j := i + 1; j < len(aRecs); j++ {
-					a, b := aRecs[i], aRecs[j]
-					if a.ID == b.ID || c.auditor.Owner(a.ID, b.ID) != self {
-						continue
-					}
-					c.trace.Record(self, a.ID, b.ID)
-					if err := c.req.Pair(a, b, emit); err != nil {
-						return fmt.Errorf("exec: pair (%d,%d): %w", a.ID, b.ID, err)
-					}
-				}
-			}
-			return nil
-		}
-		for _, x := range aRecs {
-			for _, y := range bRecs {
-				if c.auditor.Owner(x.ID, y.ID) != self {
-					continue
-				}
-				c.trace.Record(self, x.ID, y.ID)
-				if err := c.req.Pair(x, y, emit); err != nil {
-					return fmt.Errorf("exec: pair (x=%d,y=%d): %w", x.ID, y.ID, err)
-				}
-			}
-		}
-		return nil
-	})
-}
-
-// sortAndDedupeRecords orders records by ID so pair enumeration is
-// deterministic and drops duplicate copies of the same input (a corrupted
-// schema can list an input twice in one reducer; the extra copy must not
-// double-process pairs — duplicate processing is the audit's signal for a
-// pair covered at two owners, not for a doubled assignment).
-func sortAndDedupeRecords(recs []Record) []Record {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].ID < recs[j].ID })
-	out := recs[:0]
-	for i, r := range recs {
-		if i > 0 && r.ID == recs[i-1].ID {
-			continue
-		}
-		out = append(out, r)
-	}
-	return out
+	return f.rec, nil
 }

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/a2a"
 	"repro/internal/core"
+	"repro/internal/mr"
 	"repro/internal/planner"
 	"repro/internal/x2y"
 )
@@ -175,6 +176,29 @@ func TestRunRequestValidation(t *testing.T) {
 	}
 }
 
+// TestRunSkipsDuplicatedMember runs a schema that lists one input twice in
+// a reducer. Both copies are shipped and charged, but the reducer processes
+// the input once, so no pair is processed twice and the audit passes.
+func TestRunSkipsDuplicatedMember(t *testing.T) {
+	set := core.MustNewInputSet([]core.Size{2, 2, 2, 2})
+	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: 8}
+	ms.AddReducerA2A(set, []int{0, 1, 2})
+	ms.AddReducerA2A(set, []int{0, 3})
+	ms.AddReducerA2A(set, []int{1, 3})
+	ms.AddReducerA2A(set, []int{2, 3})
+	ms.Reducers[1] = core.Reducer{Inputs: []int{0, 3, 3}, Load: 6}
+	res, err := Run(Request{Name: "dup-member", Schema: ms, Inputs: makeInputs(set.Sizes()), Pair: pairIDs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Audited || res.PairsProcessed != 6 || len(res.Output) != 6 {
+		t.Fatalf("audited=%v pairs=%d output=%d, want true/6/6", res.Audited, res.PairsProcessed, len(res.Output))
+	}
+	if res.Counters.ShuffleRecords != 10 {
+		t.Errorf("ShuffleRecords = %d, want 10 (the doubled member ships twice)", res.Counters.ShuffleRecords)
+	}
+}
+
 func TestRunPairErrorPropagates(t *testing.T) {
 	sizes := []core.Size{2, 2, 2}
 	schema := solveA2A(t, sizes, 6)
@@ -226,24 +250,23 @@ func TestRunPairDataRoundTrips(t *testing.T) {
 	}
 }
 
-func TestRecordFramingRoundTrip(t *testing.T) {
+// TestCopyBytesMatchesSeedFrame pins the shuffle accounting to the wire
+// frame the counters are defined by: reducer tag "r<r>", then the side/ID
+// header "<side>|<id>|", then the payload.
+func TestCopyBytesMatchesSeedFrame(t *testing.T) {
 	for _, tc := range []struct {
-		side byte
-		id   int
-		data string
+		side    string
+		r, id   int
+		payload string
 	}{
-		{sideA, 0, ""},
-		{sideX, 12345, "payload"},
-		{sideY, 7, "with|pipes|inside"},
+		{"a", 0, 0, ""},
+		{"x", 12, 12345, "payload"},
+		{"y", 999, 7, "with|pipes|inside"},
+		{"a", 1000, 100, "0123456789"},
 	} {
-		side, id, data, err := parseRecord(frameRecord(tc.side, tc.id, []byte(tc.data)))
-		if err != nil || side != tc.side || id != tc.id || string(data) != tc.data {
-			t.Errorf("round trip (%c,%d,%q) = (%c,%d,%q), err %v", tc.side, tc.id, tc.data, side, id, data, err)
-		}
-	}
-	for _, bad := range []string{"", "a", "a|", "a|12", "a|x|data"} {
-		if _, _, _, err := parseRecord([]byte(bad)); err == nil {
-			t.Errorf("parsed malformed record %q", bad)
+		frame := fmt.Sprintf("r%d%s|%d|%s", tc.r, tc.side, tc.id, tc.payload)
+		if got := mr.CopyBytes(tc.r, headerBytes(tc.id), len(tc.payload)); got != int64(len(frame)) {
+			t.Errorf("copy of %q charged %d bytes, frame has %d", frame, got, len(frame))
 		}
 	}
 }

@@ -236,3 +236,36 @@ func TestRunStreamingSizeMismatchFails(t *testing.T) {
 		t.Fatalf("Run returned %v, want a short-source error", err)
 	}
 }
+
+// TestRunCancelReturnsWhileSourceBlocked cancels a run whose Source is
+// blocked in Next and stays blocked until after Run returns: the run must
+// still end with the context's error, and the blocked call is released
+// afterwards without leaking (the package's TestMain checks goroutines).
+func TestRunCancelReturnsWhileSourceBlocked(t *testing.T) {
+	sizes := streamSizes(8)
+	schema := solveA2A(t, sizes, 40)
+	ctx, cancel := context.WithCancel(context.Background())
+	blocked, released := make(chan struct{}), make(chan struct{})
+	src := mr.SourceFunc(func() ([]byte, error) {
+		close(blocked)
+		<-released
+		return nil, io.EOF
+	})
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(Request{Ctx: ctx, Name: "blocked", Schema: schema, Source: src,
+			InputSizes: intSizes(sizes), Pair: pairIDs})
+		done <- err
+	}()
+	<-blocked
+	cancel()
+	defer close(released)
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return while its Source was blocked")
+	}
+}

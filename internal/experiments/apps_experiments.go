@@ -43,16 +43,16 @@ func T6SkewJoin(p Params) (*report.Table, error) {
 		if numReducers == 0 {
 			numReducers = 1
 		}
-		base, err := skewjoin.HashJoinBaseline(x, y, numReducers, capacity, true)
+		base, err := skewjoin.HashJoinBaseline(x, y, numReducers, capacity)
 		if err != nil {
 			return nil, fmt.Errorf("T6 skew=%v baseline: %w", skew, err)
 		}
 		loadRatio := 0.0
 		if res.Counters.MaxReducerLoad > 0 {
-			loadRatio = float64(base.Counters.MaxReducerLoad) / float64(res.Counters.MaxReducerLoad)
+			loadRatio = float64(base.MaxReducerLoad) / float64(res.Counters.MaxReducerLoad)
 		}
 		tbl.AddRow(skew, len(res.Plan.HeavyKeys), res.Plan.NumReducers,
-			res.Counters.ShuffleBytes, res.Counters.MaxReducerLoad, base.Counters.MaxReducerLoad,
+			res.Counters.ShuffleBytes, res.Counters.MaxReducerLoad, base.MaxReducerLoad,
 			base.CapacityViolated, loadRatio, res.JoinedCount == base.JoinedCount)
 	}
 	return tbl, nil

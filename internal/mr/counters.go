@@ -1,86 +1,54 @@
 package mr
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// Counters aggregates the measurements of one job run. All byte figures use
-// Pair.Size (key bytes + value bytes), matching the paper's notion of
-// communication cost: the total amount of data transmitted from the map phase
-// to the reduce phase.
+// Counters aggregates the measurements of one job run. Every byte figure
+// charges a copy its CopyBytes size, matching the paper's notion of
+// communication cost: the total amount of data transmitted from the map
+// phase to the reduce phase.
 type Counters struct {
-	// MapInputRecords is the number of input records fed to mappers.
+	// MapInputRecords is the number of input records routed.
 	MapInputRecords int64
-	// MapOutputRecords and MapOutputBytes describe what the mappers emitted
-	// before combining.
+	// MapOutputRecords and MapOutputBytes describe the copies the routing
+	// step produced.
 	MapOutputRecords int64
 	MapOutputBytes   int64
-	// CombineInputRecords/Bytes and CombineOutputRecords/Bytes describe the
-	// combine phase: what the combiner consumed (the raw map output) and what
-	// it emitted into the shuffle. All four stay zero when the job has no
-	// combiner, so shuffle accounting can attribute the gap between map output
-	// and shuffle volume to combining: the savings are input minus output.
-	CombineInputRecords  int64
-	CombineInputBytes    int64
-	CombineOutputRecords int64
-	CombineOutputBytes   int64
-	// ShuffleRecords and ShuffleBytes describe what actually crossed the
-	// map-to-reduce boundary (after the optional combiner). ShuffleBytes is
-	// the communication cost.
+	// ShuffleRecords and ShuffleBytes describe what crossed the
+	// map-to-reduce boundary; every copy does, so they equal the map output.
+	// ShuffleBytes is the communication cost.
 	ShuffleRecords int64
 	ShuffleBytes   int64
-	// ReduceInputKeys is the number of distinct keys seen by reducers.
+	// ReduceInputKeys is the number of reducers that received input.
 	ReduceInputKeys int64
 	// ReduceOutputRecords and ReduceOutputBytes describe the reducer output.
 	ReduceOutputRecords int64
 	ReduceOutputBytes   int64
 	// SpillRuns, SpillPartitions, and SpillBytes describe spill-to-disk
-	// activity of a streaming run under a memory budget: how many sorted run
-	// files were written, how many distinct partitions spilled at least once,
-	// and the total file bytes written. All three stay zero for unbounded
-	// runs.
+	// activity under a memory budget: how many run files were written, how
+	// many distinct reducers spilled at least once, and the total file bytes
+	// written. All three stay zero for unbounded runs.
 	SpillRuns       int64
 	SpillPartitions int64
 	SpillBytes      int64
-	// ReducerLoads holds the shuffle bytes received by each reduce
-	// partition, indexed by partition.
+	// ReducerLoads holds the shuffle bytes received by each reducer.
 	ReducerLoads []int64
 	// MaxReducerLoad is the largest entry of ReducerLoads.
 	MaxReducerLoad int64
-	// MapWall, CombineWall, and ReduceWall are the wall-clock durations of
-	// the phases; CombineWall stays zero when the job has no combiner.
-	MapWall     time.Duration
-	CombineWall time.Duration
-	ReduceWall  time.Duration
-}
-
-// CombineSavedRecords returns how many intermediate records the combiner
-// removed before the shuffle; 0 when the job had no combiner.
-func (c *Counters) CombineSavedRecords() int64 {
-	return c.CombineInputRecords - c.CombineOutputRecords
-}
-
-// CombineSavedBytes returns how many shuffle bytes the combiner saved; 0 when
-// the job had no combiner.
-func (c *Counters) CombineSavedBytes() int64 {
-	return c.CombineInputBytes - c.CombineOutputBytes
+	// MapWall and ReduceWall are the wall-clock durations of the phases.
+	MapWall    time.Duration
+	ReduceWall time.Duration
 }
 
 // Merge folds the counters of another, independently executed job into c.
 // Record and byte figures add up, wall clocks add up (the merged walls are
 // aggregate work time, not elapsed time when the jobs ran concurrently), and
-// ReducerLoads are concatenated so per-partition loads stay inspectable. The
+// ReducerLoads are concatenated so per-reducer loads stay inspectable. The
 // applications use it to report one counter set for a composite run (e.g. a
 // light-key job plus one executor job per heavy key).
 func (c *Counters) Merge(o *Counters) {
 	c.MapInputRecords += o.MapInputRecords
 	c.MapOutputRecords += o.MapOutputRecords
 	c.MapOutputBytes += o.MapOutputBytes
-	c.CombineInputRecords += o.CombineInputRecords
-	c.CombineInputBytes += o.CombineInputBytes
-	c.CombineOutputRecords += o.CombineOutputRecords
-	c.CombineOutputBytes += o.CombineOutputBytes
 	c.ShuffleRecords += o.ShuffleRecords
 	c.ShuffleBytes += o.ShuffleBytes
 	c.ReduceInputKeys += o.ReduceInputKeys
@@ -94,54 +62,20 @@ func (c *Counters) Merge(o *Counters) {
 		c.MaxReducerLoad = o.MaxReducerLoad
 	}
 	c.MapWall += o.MapWall
-	c.CombineWall += o.CombineWall
 	c.ReduceWall += o.ReduceWall
 }
 
-// CommunicationCost returns the shuffle volume in bytes — the quantity the
-// paper's schemas minimise for a given number of reducers.
-func (c *Counters) CommunicationCost() int64 { return c.ShuffleBytes }
-
-// ReplicationRate returns the shuffle volume divided by the map input volume
-// approximated by MapOutputBytes when no combiner ran; callers that know the
-// true input size should divide themselves.
-func (c *Counters) ReplicationRate() float64 {
-	if c.MapOutputBytes == 0 {
-		return 0
-	}
-	return float64(c.ShuffleBytes) / float64(c.MapOutputBytes)
-}
-
-// LoadImbalance returns MaxReducerLoad divided by the mean reducer load; 1.0
-// is perfectly balanced. It returns 0 when nothing was shuffled.
-func (c *Counters) LoadImbalance() float64 {
-	if len(c.ReducerLoads) == 0 || c.ShuffleBytes == 0 {
-		return 0
-	}
-	mean := float64(c.ShuffleBytes) / float64(len(c.ReducerLoads))
-	if mean == 0 {
-		return 0
-	}
-	return float64(c.MaxReducerLoad) / mean
-}
-
-// String renders the headline counters.
-func (c *Counters) String() string {
-	return fmt.Sprintf("mapIn=%d shuffle=%dB reducers=%d maxLoad=%dB out=%d",
-		c.MapInputRecords, c.ShuffleBytes, len(c.ReducerLoads), c.MaxReducerLoad, c.ReduceOutputRecords)
-}
-
 // Result is the outcome of a job run: the emitted output records grouped by
-// reduce partition, plus counters.
+// reducer, plus counters.
 type Result struct {
-	// Output holds the reducer-emitted records per partition.
+	// Output holds the emitted records per reducer; it is nil when the run
+	// wrote to a Sink.
 	Output [][][]byte
 	// Counters are the run's measurements.
 	Counters Counters
 }
 
-// FlatOutput returns all output records of all partitions, partition by
-// partition.
+// FlatOutput returns all output records, reducer by reducer.
 func (r *Result) FlatOutput() [][]byte {
 	var out [][]byte
 	for _, part := range r.Output {

@@ -1,48 +1,48 @@
-// Package mr is the streaming MapReduce engine that executes the paper's
-// applications (similarity join and skew join) and everything the exec layer
-// plans on top of it.
+// Package mr is the reducer-indexed MapReduce core that executes the paper's
+// mapping schemas: the exec layer's schema-driven jobs and the skew join's
+// light-key job run on it.
 //
-// # Pipeline
+// # Model
 //
-// A run is a pipeline of bounded-buffer channel stages:
+// In the paper a mapping schema fixes, before any data moves, the reducers
+// each input is copied to. A Job therefore names its reducers by index and
+// has no shuffle keys: its Route function turns each input record into the
+// value to ship plus the list of reducers that receive a copy, and its Reduce
+// function processes one reducer's copies.
 //
-//	Source → map workers → per-partition accumulators → reduce → Sink
+//	Source → Route (calling goroutine) → per-reducer []Ref → worker pool → Reduce → Sink
 //
-// RunStream pulls records one at a time from a Source (so the whole input
-// never has to be materialized), fans them out to MapParallelism map workers,
-// and routes every emitted pair to the accumulator goroutine of its reduce
-// partition — one goroutine pipeline per partition, with hash tables pre-sized
-// from the job's declared PartitionHints. Reduce tasks run as partitions
-// complete, gated by a ReduceParallelism semaphore, and write either to the
-// caller's Sink or into the collected Result.Output. Every channel operation
-// selects on ctx.Done(), so cancellation propagates mid-pipeline without
-// waiting for a stage to drain.
+// RunStream pulls records one at a time from a Source, so the whole input
+// never has to be materialized, and appends one Ref (source index, value) per
+// copy to its reducer's slice. Routing is sequential, so each reducer holds
+// its copies in source order, which is their provenance order: output is
+// deterministic without a sort. A fixed pool of Job.Workers goroutines then
+// reduces the non-empty reducers and writes to the caller's Sink or into
+// Result.Output. Run is RunStream over an in-memory slice with collected
+// output. Cancelling the context stops the run between records and between
+// reducers, and RunStream returns only after every goroutine it started has
+// finished.
 //
-// The slice-based Engine.Run is a thin adapter: it wraps its input in a
-// SliceSource and calls RunStream with default options. Both paths produce
-// identical Counters and identical per-partition output.
+// # Accounting
+//
+// Each copy is charged CopyBytes: a reducer tag ("r" plus the decimal
+// reducer index), the route's Header, and the value, which is what a wire
+// format keyed by reducer would ship. The engine computes the size without
+// building the frame. ReducerLoads and ShuffleBytes are the per-reducer and
+// total sums, so they measure the paper's reducer load and communication cost
+// byte-accurately. Job.ReducerCapacity fails a run whose reducer load exceeds
+// it, and a route to a reducer outside the job fails with ErrBadRoute.
 //
 // # Spill to disk
 //
-// StreamOptions.MemoryBudget bounds the bytes of map output buffered in
-// memory across all partitions. When an insert pushes the engine over budget,
-// the inserting partition writes its table out as a sorted run file
-// (uvarint-framed key/value records in a private temp directory under
-// StreamOptions.SpillDir) and starts over empty; at reduce time the partition
-// k-way merges its run files with the in-memory remainder, so grouping and
-// output are byte-identical to an unbounded run. Spill volume is reported in
-// Counters (SpillRuns, SpillPartitions, SpillBytes) and surfaced per run via
-// the OnSpill hook. The temp directory is removed when the run ends, on every
-// path — success, error, or cancellation.
-//
-// # Determinism
-//
-// Each map emission carries its provenance: the source record index and the
-// emission ordinal. Values within a key group are ordered by that provenance,
-// so output is deterministic regardless of MapParallelism, buffering, or how
-// many times a partition spilled.
-//
-// The paper assumes a production MapReduce stack; its cost model depends only
-// on the data shipped from mappers to reducers and on per-reducer load, which
-// this engine measures byte-accurately through its Counters.
+// StreamOptions.MemoryBudget bounds the shuffle bytes held in memory across
+// all reducers. When a copy pushes the run over budget, the receiving reducer
+// writes its in-memory copies to a run file of uvarint-framed (source index,
+// value) records in a private "mr-spill-*" directory under
+// StreamOptions.SpillDir, and starts over empty. At reduce time the runs are
+// read back in write order, followed by the in-memory remainder, which is the
+// unbounded run's copy sequence: output is byte-identical. Spill volume is
+// reported in Counters (SpillRuns, SpillPartitions, SpillBytes) and per run
+// via the OnSpill hook. The directory is removed when the run ends, on every
+// path: success, error, or cancellation.
 package mr

@@ -3,158 +3,71 @@ package mr
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"strconv"
 )
 
-// Pair is one intermediate key/value record emitted by a mapper and consumed
-// by a reducer.
-type Pair struct {
-	Key   string
+// Route says where the routing step sends one input record: the value to
+// ship and the reducers that each receive a copy of it.
+type Route struct {
+	// Value is shipped, shared and unchanged, to every reducer in Reducers.
+	Value []byte
+	// Header is the per-copy framing, in bytes, that the wire format puts in
+	// front of Value (for schema-driven jobs: the record's side and input
+	// ID). It is charged to the shuffle counters; the engine never builds it.
+	Header int
+	// Reducers lists the destination reducers, each in [0, Job.NumReducers).
+	// A record may go to none.
+	Reducers []int
+}
+
+// Ref is one copy of an input record at a reducer: the record's index in the
+// source, which is its provenance, and the value its route shipped.
+type Ref struct {
+	Index int
 	Value []byte
 }
 
-// Size returns the number of bytes the pair contributes to the shuffle: the
-// key plus the value. This is the unit in which the engine's communication
-// counters are expressed.
-func (p Pair) Size() int { return len(p.Key) + len(p.Value) }
-
-// Mapper transforms one input record into intermediate pairs via emit.
-type Mapper interface {
-	Map(record []byte, emit func(Pair)) error
-}
-
-// Reducer folds all values of one key into zero or more output records via
-// emit.
-type Reducer interface {
-	Reduce(key string, values [][]byte, emit func([]byte)) error
-}
-
-// Combiner optionally pre-aggregates the values of a key on the map side
-// before the shuffle, reducing communication. It has reducer semantics but
-// must emit pairs (so its output can be shuffled again).
-type Combiner interface {
-	Combine(key string, values [][]byte, emit func(Pair)) error
-}
-
-// MapperFunc adapts a function to the Mapper interface.
-type MapperFunc func(record []byte, emit func(Pair)) error
-
-// Map implements Mapper.
-func (f MapperFunc) Map(record []byte, emit func(Pair)) error { return f(record, emit) }
-
-// ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key string, values [][]byte, emit func([]byte)) error
-
-// Reduce implements Reducer.
-func (f ReducerFunc) Reduce(key string, values [][]byte, emit func([]byte)) error {
-	return f(key, values, emit)
-}
-
-// Partitioner maps a key to one of n reduce partitions.
-type Partitioner func(key string, n int) int
-
-// HashPartitioner is the default partitioner: FNV-1a hash of the key modulo
-// the number of partitions.
-func HashPartitioner(key string, n int) int {
-	h := fnv.New32a()
-	_, _ = h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
-}
-
-// Job describes one MapReduce job.
+// Job describes one reducer-indexed run.
 type Job struct {
-	// Name labels the job in results and errors.
+	// Name labels the job in errors.
 	Name string
-	// Mapper and Reducer are required.
-	Mapper  Mapper
-	Reducer Reducer
-	// Combiner is optional.
-	Combiner Combiner
-	// NumReducers is the number of reduce partitions; it must be positive.
+	// NumReducers is the number of reducers; it must be positive.
 	NumReducers int
-	// Partitioner routes keys to partitions; nil means HashPartitioner.
-	Partitioner Partitioner
-	// MapParallelism and ReduceParallelism bound the number of concurrently
-	// running map and reduce tasks; 0 means the number of partitions (i.e.
-	// fully parallel), 1 means sequential deterministic execution.
-	MapParallelism    int
-	ReduceParallelism int
-	// ReducerCapacity, when positive, makes the engine fail the job if any
-	// reduce partition receives more than this many bytes of input. It
-	// models the paper's reducer capacity q at execution time.
+	// Route maps input record idx (its position in the source) to its
+	// route. It is required and runs on one goroutine, in source order.
+	Route func(idx int, rec []byte) (Route, error)
+	// Reduce processes the copies reducer r received, in source order, and
+	// emits output records. It is required and runs once per reducer that
+	// received at least one copy, on the reduce worker pool.
+	Reduce func(r int, refs []Ref, emit func([]byte)) error
+	// ReducerCapacity, when positive, fails the run as soon as one reducer
+	// receives more than this many shuffle bytes. It models the paper's
+	// reducer capacity q at execution time.
 	ReducerCapacity int64
-	// MaxAttempts is the number of times a failing map or reduce task is
-	// attempted before the job fails; 0 and 1 both mean a single attempt.
-	// Retries model the fault tolerance of a real MapReduce stack and are
-	// exercised by the failure-injection tests.
-	MaxAttempts int
-	// PartitionHints optionally pre-sizes the per-partition hash tables of a
-	// streaming run from the planned schema's declared loads, indexed by
-	// partition. Missing or short hints are harmless: tables grow as usual.
-	PartitionHints []PartitionHint
+	// Workers is the size of the reduce worker pool; 0 means GOMAXPROCS.
+	Workers int
 }
 
-// PartitionHint declares the expected shape of one reduce partition's input,
-// derived from the planned schema (a schema-driven partition holds exactly
-// one key whose load is bounded by the reducer capacity q).
-type PartitionHint struct {
-	// Keys is the expected number of distinct keys in the partition.
-	Keys int
-	// Records is the expected number of intermediate records.
-	Records int
-	// Bytes is the expected shuffle load in Pair.Size bytes.
-	Bytes int64
+// CopyBytes is the shuffle size of one copy at reducer r of a value of
+// valueLen bytes behind a header of header bytes: the reducer tag ("r" plus
+// the decimal index), the header, and the value. This is the unit of every
+// byte counter and of the memory budget.
+func CopyBytes(r, header, valueLen int) int64 {
+	var digits [20]byte
+	return int64(1+len(strconv.AppendInt(digits[:0], int64(r), 10))+header) + int64(valueLen)
 }
 
-// keysHint returns the usable key-count hint (never negative).
-func (h PartitionHint) keysHint() int {
-	if h.Keys > 0 {
-		return h.Keys
-	}
-	return 0
-}
-
-// hint returns the partition's declared hint, or a zero hint.
-func (j *Job) hint(p int) PartitionHint {
-	if p >= 0 && p < len(j.PartitionHints) {
-		return j.PartitionHints[p]
-	}
-	return PartitionHint{}
-}
-
-// attempts returns the effective attempt budget.
-func (j *Job) attempts() int {
-	if j.MaxAttempts < 1 {
-		return 1
-	}
-	return j.MaxAttempts
-}
-
-// Validation errors.
+// Run errors.
 var (
-	ErrNoMapper     = errors.New("mr: job has no mapper")
-	ErrNoReducer    = errors.New("mr: job has no reducer")
-	ErrBadReducers  = errors.New("mr: job needs a positive number of reducers")
-	ErrOverCapacity = errors.New("mr: reduce partition exceeds the configured reducer capacity")
+	ErrBadJob       = errors.New("mr: job needs a positive reducer count, a Route and a Reduce")
+	ErrBadRoute     = errors.New("mr: route names a reducer outside the job")
+	ErrOverCapacity = errors.New("mr: reducer exceeds the configured reducer capacity")
 )
 
 // validate checks the job configuration.
 func (j *Job) validate() error {
-	if j.Mapper == nil {
-		return fmt.Errorf("%w (job %q)", ErrNoMapper, j.Name)
-	}
-	if j.Reducer == nil {
-		return fmt.Errorf("%w (job %q)", ErrNoReducer, j.Name)
-	}
-	if j.NumReducers <= 0 {
-		return fmt.Errorf("%w (job %q has %d)", ErrBadReducers, j.Name, j.NumReducers)
+	if j.NumReducers <= 0 || j.Route == nil || j.Reduce == nil {
+		return fmt.Errorf("%w (job %q)", ErrBadJob, j.Name)
 	}
 	return nil
-}
-
-func (j *Job) partitioner() Partitioner {
-	if j.Partitioner != nil {
-		return j.Partitioner
-	}
-	return HashPartitioner
 }

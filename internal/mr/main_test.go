@@ -1,0 +1,10 @@
+package mr
+
+import (
+	"os"
+	"testing"
+
+	"repro/internal/leakcheck"
+)
+
+func TestMain(m *testing.M) { os.Exit(leakcheck.Run(m)) }

@@ -4,7 +4,8 @@ import "io"
 
 // Source yields the input records of a job one at a time, so a run never
 // needs the whole input materialized. Next returns the next record, or
-// io.EOF after the last one. The engine calls Next from a single goroutine.
+// io.EOF after the last one. The engine calls Next from a single goroutine
+// and never after RunStream returns.
 type Source interface {
 	Next() ([]byte, error)
 }
@@ -34,11 +35,11 @@ func (s *SliceSource) Next() ([]byte, error) {
 	return rec, nil
 }
 
-// Sink receives the output records of a streaming run as reduce partitions
-// produce them, tagged with the partition that emitted them. Records of one
-// partition arrive in that partition's deterministic emission order;
-// partitions interleave as they complete. The engine serializes Write calls,
-// so implementations need no locking. A Write error fails the run.
+// Sink receives the output records of a run as reducers finish, tagged with
+// the reducer that emitted them. Records of one reducer arrive in its
+// emission order; reducers interleave as they complete. The engine
+// serializes Write calls, so implementations need no locking, and never
+// calls Write after RunStream returns. A Write error fails the run.
 type Sink interface {
 	Write(partition int, rec []byte) error
 }
@@ -51,43 +52,28 @@ func (f SinkFunc) Write(partition int, rec []byte) error { return f(partition, r
 
 // StreamOptions tunes one RunStream call.
 type StreamOptions struct {
-	// MemoryBudget bounds the bytes of shuffled intermediate pairs the run
-	// holds in memory across all partitions (measured in Pair.Size units).
-	// When the budget is exceeded, the inserting partition spills its
-	// in-memory table to a sorted run file and continues; runs are merged
-	// back at reduce time. Zero or negative means unbounded: nothing spills.
+	// MemoryBudget bounds the shuffle bytes (CopyBytes units) the run holds
+	// in memory across all reducers. When a copy pushes the run over budget,
+	// the receiving reducer writes its in-memory copies to a run file and
+	// starts over empty; its runs are read back at reduce time. Zero or
+	// negative means unbounded: nothing spills.
 	//
-	// The budget covers the shuffle only. Each reduce task still materializes
-	// one key group at a time, so the peak memory of a run is roughly
-	// MemoryBudget + ReduceParallelism x the largest per-partition key group
-	// (for schema-driven jobs: the reducer capacity q).
+	// The budget covers the shuffle only. Each reduce worker still
+	// materializes one reducer's copies at a time, so the peak memory of a
+	// run is roughly MemoryBudget + Workers x the largest reducer load (for
+	// schema-driven jobs: the reducer capacity q).
 	MemoryBudget int64
 	// SpillDir is the directory spill runs are written under; "" means the
 	// OS temp dir. Each run creates (lazily, on first spill) one private
 	// "mr-spill-*" subdirectory and removes it when the run ends, whatever
 	// the outcome.
 	SpillDir string
-	// BufferSize is the capacity of the bounded channels between pipeline
-	// stages; 0 means a small default. Larger buffers absorb burstier
-	// mappers at the cost of memory.
-	BufferSize int
 	// OnSpill, when non-nil, is invoked after each spilled run with the
-	// partition and the bytes written to the run file (metrics hook).
+	// reducer and the bytes written to the run file (metrics hook).
 	OnSpill func(partition int, runBytes int64)
-	// OnStage, when non-nil, is invoked at the start of each pipeline phase
-	// ("map", "reduce") and the returned function at its end (tracing hook).
+	// OnStage, when non-nil, is invoked at the start of each phase ("map",
+	// "reduce") and the returned function at its end (tracing hook).
 	OnStage func(stage string) func()
-}
-
-// defaultStageBuffer is the per-partition channel capacity when
-// StreamOptions.BufferSize is unset.
-const defaultStageBuffer = 64
-
-func (o *StreamOptions) bufferSize() int {
-	if o.BufferSize > 0 {
-		return o.BufferSize
-	}
-	return defaultStageBuffer
 }
 
 // stage invokes the OnStage hook, tolerating nil hooks and nil end funcs.

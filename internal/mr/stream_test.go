@@ -32,7 +32,7 @@ func streamInputs(records, wordsPerRecord int, seed int64) [][]byte {
 
 func runStream(t *testing.T, job *Job, inputs [][]byte, opts StreamOptions) *Result {
 	t.Helper()
-	res, err := NewEngine().RunStream(context.Background(), job, NewSliceSource(inputs), nil, opts)
+	res, err := RunStream(context.Background(), job, NewSliceSource(inputs), nil, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func runStream(t *testing.T, job *Job, inputs [][]byte, opts StreamOptions) *Res
 }
 
 // TestSpilledRunMatchesInMemoryRun is the spill-path property test: a tiny
-// memory budget forces every partition through sorted run files, and the
+// memory budget forces every reducer through run files, and the
 // output must equal the unbounded in-memory run record for record.
 func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 	inputs := streamInputs(200, 8, 1)
@@ -87,41 +87,6 @@ func TestSpilledRunMatchesInMemoryRun(t *testing.T) {
 	}
 }
 
-// TestSpilledRunWithCombinerMatches exercises the spill + combine path: runs
-// are merged back before the combiner sees the groups.
-func TestSpilledRunWithCombinerMatches(t *testing.T) {
-	inputs := streamInputs(150, 6, 2)
-	job := func() *Job {
-		j := wordCountJob(5)
-		j.Combiner = summingCombiner{}
-		j.Reducer = sumReducer
-		return j
-	}
-	want := runStream(t, job(), inputs, StreamOptions{})
-	got := runStream(t, job(), inputs, StreamOptions{MemoryBudget: 64, SpillDir: t.TempDir()})
-	if got.Counters.SpillRuns == 0 {
-		t.Fatal("budgeted run did not spill")
-	}
-	if !reflect.DeepEqual(flatStrings(got), flatStrings(want)) {
-		t.Fatalf("combined output drifted:\n  unbounded: %v\n  budgeted:  %v", flatStrings(want), flatStrings(got))
-	}
-	if got.Counters.ShuffleBytes != want.Counters.ShuffleBytes {
-		t.Fatalf("post-combine shuffle drifted: %d vs %d", got.Counters.ShuffleBytes, want.Counters.ShuffleBytes)
-	}
-}
-
-// sumReducer sums numeric values (the combiner's partial counts).
-var sumReducer = ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-	total := 0
-	for _, v := range values {
-		n := 0
-		fmt.Sscanf(string(v), "%d", &n)
-		total += n
-	}
-	emit([]byte(fmt.Sprintf("%s=%d", key, total)))
-	return nil
-})
-
 func flatStrings(res *Result) []string {
 	var out []string
 	for _, rec := range res.FlatOutput() {
@@ -130,29 +95,25 @@ func flatStrings(res *Result) []string {
 	return out
 }
 
-// TestRunStreamDeterministicUnderParallelism asserts the provenance-ordered
-// shuffle makes output byte-identical across runs even with full map
-// parallelism — stronger than the seed engine's worker-slot ordering.
+// TestRunStreamDeterministicUnderParallelism asserts the source-ordered
+// per-reducer copies make output byte-identical across runs even with more
+// reduce workers than cores.
 func TestRunStreamDeterministicUnderParallelism(t *testing.T) {
 	inputs := streamInputs(120, 5, 3)
-	concatReducer := ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
-		var sb strings.Builder
-		sb.WriteString(key)
-		sb.WriteByte(':')
-		for _, v := range values {
-			sb.Write(v)
-		}
-		emit([]byte(sb.String()))
-		return nil
-	})
-	orderMapper := MapperFunc(func(record []byte, emit func(Pair)) error {
-		for i, w := range strings.Fields(string(record)) {
-			emit(Pair{Key: w, Value: []byte(fmt.Sprintf("[%d]", i))})
-		}
-		return nil
-	})
 	job := func() *Job {
-		return &Job{Name: "order", Mapper: orderMapper, Reducer: concatReducer, NumReducers: 6, MapParallelism: 8}
+		j := wordCountJob(6)
+		j.Workers = 8
+		// Emit every copy's provenance and value, so any reordering shows.
+		j.Reduce = func(r int, refs []Ref, emit func([]byte)) error {
+			var sb strings.Builder
+			fmt.Fprintf(&sb, "%d:", r)
+			for _, ref := range refs {
+				fmt.Fprintf(&sb, "[%d]%s", ref.Index, ref.Value)
+			}
+			emit([]byte(sb.String()))
+			return nil
+		}
+		return j
 	}
 	base := flatStrings(runStream(t, job(), inputs, StreamOptions{}))
 	for i := 0; i < 5; i++ {
@@ -185,9 +146,8 @@ func (s *blockingSource) Next() ([]byte, error) {
 	return nil, io.EOF
 }
 
-// TestRunStreamCancellation is the satellite fix for the known gap in
-// pkg/assign/execute.go: a cancelled context must stop a long run promptly
-// and clean up its spill files.
+// TestRunStreamCancellation: a cancelled context must stop a long run
+// promptly and clean up its spill files.
 func TestRunStreamCancellation(t *testing.T) {
 	spillDir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -195,7 +155,7 @@ func TestRunStreamCancellation(t *testing.T) {
 	job := wordCountJob(4)
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewEngine().RunStream(ctx, job, src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
+		_, err := RunStream(ctx, job, src, nil, StreamOptions{MemoryBudget: 16, SpillDir: spillDir})
 		done <- err
 	}()
 	// Give the pipeline a moment to ingest (and spill) the finite prefix,
@@ -220,21 +180,75 @@ func TestRunStreamCancellation(t *testing.T) {
 	}
 }
 
+// TestRunStreamNoCallsInFlightAfterReturn cancels a run while a Source.Next
+// or Sink.Write call is blocked and keeps blocking for a while after the
+// cancel: RunStream must not return until that call has come back.
+func TestRunStreamNoCallsInFlightAfterReturn(t *testing.T) {
+	const lag = 50 * time.Millisecond
+	for _, stage := range []string{"source", "sink"} {
+		t.Run(stage, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			var inFlight atomic.Int32
+			blocked := make(chan struct{})
+			var once sync.Once
+			// block models a call that notices cancellation late.
+			block := func() {
+				inFlight.Add(1)
+				defer inFlight.Add(-1)
+				once.Do(func() { close(blocked) })
+				<-ctx.Done()
+				time.Sleep(lag)
+			}
+			n := 0
+			src := SourceFunc(func() ([]byte, error) {
+				if n == 10 {
+					if stage == "source" {
+						block()
+					}
+					return nil, io.EOF
+				}
+				n++
+				return []byte("a b c"), nil
+			})
+			sink := SinkFunc(func(int, []byte) error {
+				if stage == "sink" {
+					block()
+				}
+				return nil
+			})
+			done := make(chan error, 1)
+			go func() {
+				_, err := RunStream(ctx, wordCountJob(3), src, sink, StreamOptions{})
+				done <- err
+			}()
+			<-blocked
+			cancel()
+			err := <-done
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("RunStream returned %v, want context.Canceled", err)
+			}
+			if got := inFlight.Load(); got != 0 {
+				t.Fatalf("%d %s call(s) still in flight after RunStream returned", got, stage)
+			}
+		})
+	}
+}
+
 // TestRunStreamCancelDuringReduce cancels while a reduce task is running;
-// the pipeline must still unwind.
+// the run must still unwind.
 func TestRunStreamCancelDuringReduce(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{})
 	var once sync.Once
-	slowReducer := ReducerFunc(func(key string, values [][]byte, emit func([]byte)) error {
+	job := wordCountJob(3)
+	job.Reduce = func(int, []Ref, func([]byte)) error {
 		once.Do(func() { close(started) })
 		<-ctx.Done()
 		return ctx.Err()
-	})
-	job := &Job{Name: "slow", Mapper: wordCountMapper, Reducer: slowReducer, NumReducers: 3}
+	}
 	done := make(chan error, 1)
 	go func() {
-		_, err := NewEngine().RunStream(ctx, job, NewSliceSource(streamInputs(20, 4, 4)), nil, StreamOptions{})
+		_, err := RunStream(ctx, job, NewSliceSource(streamInputs(20, 4, 4)), nil, StreamOptions{})
 		done <- err
 	}()
 	<-started
@@ -260,7 +274,7 @@ func TestRunStreamSourceError(t *testing.T) {
 		}
 		return []byte("a b c"), nil
 	})
-	_, err := NewEngine().RunStream(context.Background(), wordCountJob(2), src, nil, StreamOptions{})
+	_, err := RunStream(context.Background(), wordCountJob(2), src, nil, StreamOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunStream returned %v, want the source error", err)
 	}
@@ -270,7 +284,7 @@ func TestRunStreamSourceError(t *testing.T) {
 func TestRunStreamSinkError(t *testing.T) {
 	boom := errors.New("sink full")
 	sink := SinkFunc(func(partition int, rec []byte) error { return boom })
-	_, err := NewEngine().RunStream(context.Background(), wordCountJob(2),
+	_, err := RunStream(context.Background(), wordCountJob(2),
 		NewSliceSource(streamInputs(10, 3, 5)), sink, StreamOptions{})
 	if !errors.Is(err, boom) {
 		t.Fatalf("RunStream returned %v, want the sink error", err)
@@ -278,7 +292,7 @@ func TestRunStreamSinkError(t *testing.T) {
 }
 
 // TestRunStreamSinkMatchesCollected asserts sink delivery covers exactly the
-// collected output, with per-partition order preserved.
+// collected output, with per-reducer order preserved.
 func TestRunStreamSinkMatchesCollected(t *testing.T) {
 	inputs := streamInputs(80, 4, 6)
 	collected := runStream(t, wordCountJob(5), inputs, StreamOptions{})
@@ -288,7 +302,7 @@ func TestRunStreamSinkMatchesCollected(t *testing.T) {
 		perPart[partition] = append(perPart[partition], string(rec))
 		return nil
 	})
-	res, err := NewEngine().RunStream(context.Background(), wordCountJob(5),
+	res, err := RunStream(context.Background(), wordCountJob(5),
 		NewSliceSource(inputs), sink, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -348,8 +362,8 @@ func TestRunStreamNoSpillDirWithoutSpill(t *testing.T) {
 	}
 }
 
-// TestRunStreamConcurrentHammer runs many concurrent budgeted pipelines —
-// under -race this shakes out data races across the per-partition stages.
+// TestRunStreamConcurrentHammer runs many concurrent budgeted runs; under
+// -race this shakes out data races between the reduce workers.
 func TestRunStreamConcurrentHammer(t *testing.T) {
 	inputs := streamInputs(100, 6, 9)
 	want := flatStrings(runStream(t, wordCountJob(6), inputs, StreamOptions{}))
@@ -362,9 +376,9 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			job := wordCountJob(6)
-			job.MapParallelism = 4
-			res, err := NewEngine().RunStream(context.Background(), job,
-				NewSliceSource(inputs), nil, StreamOptions{MemoryBudget: 128, SpillDir: dir, BufferSize: 4})
+			job.Workers = 4
+			res, err := RunStream(context.Background(), job,
+				NewSliceSource(inputs), nil, StreamOptions{MemoryBudget: 128, SpillDir: dir})
 			if err != nil {
 				errs[i] = err
 				return
@@ -386,85 +400,76 @@ func TestRunStreamConcurrentHammer(t *testing.T) {
 	}
 }
 
-// TestSpillRunRoundTrip exercises the run-file codec directly.
+// TestSpillRunRoundTrip exercises the run-file codec directly, including
+// files that do not decode.
 func TestSpillRunRoundTrip(t *testing.T) {
-	pairs := []streamPair{
-		{Pair: Pair{Key: "b", Value: []byte("2")}, rec: 1, emit: 0},
-		{Pair: Pair{Key: "a", Value: []byte("1")}, rec: 0, emit: 1},
-		{Pair: Pair{Key: "a", Value: []byte("0")}, rec: 0, emit: 0},
-		{Pair: Pair{Key: "a", Value: nil}, rec: 2, emit: 0},
+	refs := []Ref{
+		{Index: 1, Value: []byte("2")},
+		{Index: 0, Value: []byte("1")},
+		{Index: 300, Value: nil},
+		{Index: 7, Value: []byte("longer value")},
 	}
-	run, err := writeSpillRun(t.TempDir(), 0, 0, pairs)
+	dir := t.TempDir()
+	run, err := writeSpillRun(dir, 0, 0, refs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if run.pairs != int64(len(pairs)) {
-		t.Fatalf("run recorded %d pairs, want %d", run.pairs, len(pairs))
+	if fi, err := os.Stat(run.path); err != nil || fi.Size() != run.bytes {
+		t.Fatalf("run file %v, want %d bytes (%v)", fi, run.bytes, err)
 	}
-	c, err := openRun(run)
+	got, err := readSpillRun(run, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.close()
-	wantOrder := []string{"a/0/0", "a/0/1", "a/2/0", "b/1/0"}
-	for i, want := range wantOrder {
-		p, err := c.next()
-		if err != nil {
-			t.Fatalf("pair %d: %v", i, err)
-		}
-		got := fmt.Sprintf("%s/%d/%d", p.Key, p.rec, p.emit)
-		if got != want {
-			t.Fatalf("pair %d = %s, want %s", i, got, want)
+	if len(got) != len(refs) {
+		t.Fatalf("read %d copies, wrote %d", len(got), len(refs))
+	}
+	for i := range refs {
+		if got[i].Index != refs[i].Index || string(got[i].Value) != string(refs[i].Value) {
+			t.Fatalf("copy %d = %d/%q, want %d/%q", i, got[i].Index, got[i].Value, refs[i].Index, refs[i].Value)
 		}
 	}
-	if _, err := c.next(); !errors.Is(err, io.EOF) {
-		t.Fatalf("expected io.EOF at end of run, got %v", err)
+	for name, data := range map[string][]byte{
+		"truncated varint": {0x80},
+		"value too long":   {0x01, 0x05, 'a'},
+		"missing length":   {0x01},
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, data, 0o600); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := readSpillRun(spillRun{path: path}, nil); !errors.Is(err, ErrCorruptSpill) {
+			t.Errorf("%s: err = %v, want ErrCorruptSpill", name, err)
+		}
 	}
 }
 
-// TestMergePairsAcrossRuns merges two run files with an in-memory cursor.
+// TestMergePairsAcrossRuns asserts a spilled reducer's copies come back as
+// its runs in write order followed by the in-memory remainder: the copy
+// sequence of an unbounded run.
 func TestMergePairsAcrossRuns(t *testing.T) {
 	dir := t.TempDir()
-	run1, err := writeSpillRun(dir, 0, 0, []streamPair{
-		{Pair: Pair{Key: "a", Value: []byte("r1a")}, rec: 0, emit: 0},
-		{Pair: Pair{Key: "c", Value: []byte("r1c")}, rec: 1, emit: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run2, err := writeSpillRun(dir, 0, 1, []streamPair{
-		{Pair: Pair{Key: "a", Value: []byte("r2a")}, rec: 2, emit: 0},
-		{Pair: Pair{Key: "b", Value: []byte("r2b")}, rec: 3, emit: 0},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1, err := openRun(run1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c2, err := openRun(run2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mem := &memCursor{pairs: []streamPair{
-		{Pair: Pair{Key: "b", Value: []byte("m-b")}, rec: 0, emit: 1},
-		{Pair: Pair{Key: "d", Value: []byte("m-d")}, rec: 4, emit: 0},
-	}}
-	var got []string
-	err = mergePairs([]pairCursor{c1, c2, mem}, func(key string, values [][]byte) error {
-		var vs []string
-		for _, v := range values {
-			vs = append(vs, string(v))
+	r := &run{refs: make([][]Ref, 2), runs: make([][]spillRun, 2)}
+	for seq, batch := range [][]Ref{
+		{{Index: 0, Value: []byte("a")}, {Index: 2, Value: []byte("b")}},
+		{{Index: 3, Value: []byte("c")}},
+	} {
+		sr, err := writeSpillRun(dir, 1, seq, batch)
+		if err != nil {
+			t.Fatal(err)
 		}
-		got = append(got, key+"="+strings.Join(vs, ","))
-		return nil
-	})
+		r.runs[1] = append(r.runs[1], sr)
+	}
+	r.refs[1] = []Ref{{Index: 5, Value: []byte("d")}}
+	got, err := r.copies(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := []string{"a=r1a,r2a", "b=m-b,r2b", "c=r1c", "d=m-d"}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("merge produced %v, want %v", got, want)
+	var order []string
+	for _, ref := range got {
+		order = append(order, fmt.Sprintf("%d%s", ref.Index, ref.Value))
+	}
+	if want := []string{"0a", "2b", "3c", "5d"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("merged copies = %v, want %v", order, want)
 	}
 }

@@ -31,11 +31,10 @@ type Config struct {
 	// PolicySet marks Policy as explicitly chosen (so First-Fit, the zero
 	// value, can be requested).
 	PolicySet bool
-	// Workers bounds reduce-phase parallelism; 0 means one worker per
-	// reducer.
+	// Workers is the size of the reduce worker pool; 0 means GOMAXPROCS.
 	Workers int
 	// MemoryBudget, when positive, bounds the in-memory shuffle bytes of the
-	// run: over-budget reduce partitions spill sorted run files to SpillDir
+	// run: over-budget reduce partitions spill run files to SpillDir
 	// (the OS temp dir when empty) and merge them back at reduce time.
 	// Output is unchanged; spill volume lands in Counters.
 	MemoryBudget int64

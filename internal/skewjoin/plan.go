@@ -35,8 +35,8 @@ type Config struct {
 	// First-Fit-Decreasing unless PolicySet is true.
 	Policy    binpack.Policy
 	PolicySet bool
-	// Workers bounds reduce-phase parallelism; 0 means one worker per
-	// reducer.
+	// Workers is the size of each job's reduce worker pool; 0 means
+	// GOMAXPROCS.
 	Workers int
 	// CountOnly makes reducers emit per-key pair counts instead of the
 	// joined tuples themselves; the joined tuples of a heavy hitter grow
@@ -44,7 +44,7 @@ type Config struct {
 	CountOnly bool
 	// MemoryBudget, when positive, bounds the in-memory shuffle bytes of
 	// each underlying engine run (the light-key job and every heavy-key
-	// job): over-budget partitions spill sorted run files and merge them
+	// job): over-budget partitions spill run files and merge them
 	// back at reduce time. Output is unchanged.
 	MemoryBudget int64
 	// SpillDir is where over-budget partitions spill; "" means the OS temp

@@ -101,44 +101,24 @@ func Run(x, y *workload.Relation, cfg Config) (*Result, error) {
 
 // Record encoding.
 //
-// Input records carry the relation side and the tuple's index within its
-// relation so the light mapper can look up the planned destination:
-//
-//	"X|<tupleIndex>|<key>|<payload>"
-//
-// Light shuffle values drop the index (the reducer groups by the embedded
-// key):
+// The light-key job's records are its shuffle values: one per tuple, in
+// relation order (X, then Y), so a record's source index names its tuple and
+// the reducer groups by the embedded key:
 //
 //	"X|<key>|<payload>"
 //
-// The executor jobs of heavy keys do not use these encodings: their inputs
-// are whole blocks, framed as length-prefixed payload lists (encodeBlock).
+// The executor jobs of heavy keys do not use this encoding: their inputs are
+// whole blocks, framed as length-prefixed payload lists (encodeBlock).
 
-func encodeRelations(x, y *workload.Relation) [][]byte {
+func encodeLightRecords(x, y *workload.Relation) [][]byte {
 	records := make([][]byte, 0, len(x.Tuples)+len(y.Tuples))
-	for i, t := range x.Tuples {
-		records = append(records, encodeInput('X', i, t))
+	for _, t := range x.Tuples {
+		records = append(records, encodeLightValue('X', t.Key, t.Payload))
 	}
-	for i, t := range y.Tuples {
-		records = append(records, encodeInput('Y', i, t))
+	for _, t := range y.Tuples {
+		records = append(records, encodeLightValue('Y', t.Key, t.Payload))
 	}
 	return records
-}
-
-func encodeInput(side byte, idx int, t workload.Tuple) []byte {
-	return []byte(string(side) + "|" + strconv.Itoa(idx) + "|" + t.Key + "|" + t.Payload)
-}
-
-func decodeInput(rec []byte) (side byte, idx int, key, payload string, err error) {
-	parts := strings.SplitN(string(rec), "|", 4)
-	if len(parts) != 4 || len(parts[0]) != 1 {
-		return 0, 0, "", "", fmt.Errorf("skewjoin: malformed input record %q", rec)
-	}
-	idx, err = strconv.Atoi(parts[1])
-	if err != nil {
-		return 0, 0, "", "", fmt.Errorf("skewjoin: malformed tuple index in %q: %w", rec, err)
-	}
-	return parts[0][0], idx, parts[2], parts[3], nil
 }
 
 func encodeLightValue(side byte, key, payload string) []byte {
@@ -194,20 +174,19 @@ func decodeBlock(data []byte) ([]string, error) {
 	return out, nil
 }
 
-// runLight executes the light keys as one MapReduce job: every both-sided
-// light tuple goes to the single reducer its key was bin-packed into; the
-// reducer joins key by key.
+// runLight executes the light keys as one job: every both-sided light tuple
+// goes to the single reducer its key was bin-packed into; the reducer joins
+// key by key.
 func runLight(plan *Plan, x, y *workload.Relation, cfg Config) ([][]byte, *mr.Counters, error) {
 	job := &mr.Job{
-		Name:              "skew-join-light",
-		Mapper:            lightMapper(plan),
-		Reducer:           lightReducer(cfg),
-		NumReducers:       plan.LightReducers,
-		Partitioner:       mr.SchemaPartitioner,
-		ReduceParallelism: cfg.Workers,
+		Name:        "skew-join-light",
+		NumReducers: plan.LightReducers,
+		Route:       lightRoute(plan, len(x.Tuples)),
+		Reduce:      lightReduce(cfg),
+		Workers:     cfg.Workers,
 	}
-	runRes, err := mr.NewEngine().RunStream(context.Background(), job,
-		mr.NewSliceSource(encodeRelations(x, y)), nil,
+	runRes, err := mr.RunStream(context.Background(), job,
+		mr.NewSliceSource(encodeLightRecords(x, y)), nil,
 		mr.StreamOptions{MemoryBudget: cfg.MemoryBudget, SpillDir: cfg.SpillDir})
 	if err != nil {
 		return nil, nil, fmt.Errorf("skewjoin: running the light-key job: %w", err)
@@ -215,54 +194,35 @@ func runLight(plan *Plan, x, y *workload.Relation, cfg Config) ([][]byte, *mr.Co
 	return runRes.FlatOutput(), &runRes.Counters, nil
 }
 
-// lightMapper ships every light, both-sided tuple to its planned reducer.
-// Heavy tuples are handled by the executor jobs and one-sided tuples produce
-// no join output; neither is shipped.
-func lightMapper(plan *Plan) mr.Mapper {
-	return mr.MapperFunc(func(record []byte, emit func(mr.Pair)) error {
-		side, idx, key, payload, err := decodeInput(record)
-		if err != nil {
-			return err
+// lightRoute ships every light, both-sided tuple to its planned reducer.
+// Record idx is X tuple idx, or Y tuple idx-numX. Heavy tuples are handled
+// by the executor jobs and one-sided tuples produce no join output; neither
+// is shipped.
+func lightRoute(plan *Plan, numX int) func(int, []byte) (mr.Route, error) {
+	return func(idx int, rec []byte) (mr.Route, error) {
+		dests, blockOrd := plan.xDest, plan.xBlock
+		if idx >= numX {
+			dests, blockOrd, idx = plan.yDest, plan.yBlock, idx-numX
 		}
-		var dests []int
-		var blockOrd int
-		switch side {
-		case 'X':
-			if idx < 0 || idx >= len(plan.xDest) {
-				return fmt.Errorf("skewjoin: X tuple index %d out of range", idx)
-			}
-			dests, blockOrd = plan.xDest[idx], plan.xBlock[idx]
-		case 'Y':
-			if idx < 0 || idx >= len(plan.yDest) {
-				return fmt.Errorf("skewjoin: Y tuple index %d out of range", idx)
-			}
-			dests, blockOrd = plan.yDest[idx], plan.yBlock[idx]
-		default:
-			return fmt.Errorf("skewjoin: unknown relation side %q", string(side))
+		if blockOrd[idx] >= 0 {
+			return mr.Route{}, nil // heavy tuple: joined by its key's executor job
 		}
-		if blockOrd >= 0 {
-			return nil // heavy tuple: joined by its key's executor job
-		}
-		value := encodeLightValue(side, key, payload)
-		for _, r := range dests {
-			emit(mr.Pair{Key: mr.ReducerKey(r), Value: value})
-		}
-		return nil
-	})
+		return mr.Route{Value: rec, Reducers: dests[idx]}, nil
+	}
 }
 
-// lightReducer joins the X and Y tuples it receives, key by key. Several
-// light keys may share a partition (they were bin-packed together); keys are
-// processed in first-seen order, which is deterministic because the engine
-// merges map output in record order.
-func lightReducer(cfg Config) mr.Reducer {
-	return mr.ReducerFunc(func(_ string, values [][]byte, emit func([]byte)) error {
+// lightReduce joins the X and Y tuples it receives, key by key. Several
+// light keys may share a reducer (they were bin-packed together); keys are
+// processed in first-seen order, which is deterministic because copies
+// arrive in record order.
+func lightReduce(cfg Config) func(int, []mr.Ref, func([]byte)) error {
+	return func(_ int, refs []mr.Ref, emit func([]byte)) error {
 		xByKey := map[string][]string{}
 		yByKey := map[string][]string{}
 		var keys []string
 		seen := map[string]bool{}
-		for _, v := range values {
-			side, key, payload, err := decodeLightValue(v)
+		for _, ref := range refs {
+			side, key, payload, err := decodeLightValue(ref.Value)
 			if err != nil {
 				return err
 			}
@@ -283,7 +243,7 @@ func lightReducer(cfg Config) mr.Reducer {
 			emitJoin(cfg, key, xByKey[key], yByKey[key], emit)
 		}
 		return nil
-	})
+	}
 }
 
 // emitJoin emits the join of one key's X and Y payload lists: the full cross

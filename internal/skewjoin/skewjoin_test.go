@@ -2,6 +2,7 @@ package skewjoin
 
 import (
 	"errors"
+	"slices"
 	"sort"
 	"testing"
 
@@ -220,7 +221,7 @@ func TestHashJoinBaseline(t *testing.T) {
 	x := makeRelation("X", 10, map[string]int{"hot": 40, "cold": 2})
 	y := makeRelation("Y", 10, map[string]int{"hot": 30, "cold": 2})
 	q := core.Size(200)
-	base, err := HashJoinBaseline(x, y, 8, q, false)
+	base, err := HashJoinBaseline(x, y, 8, q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,6 +230,15 @@ func TestHashJoinBaseline(t *testing.T) {
 	}
 	if !base.CapacityViolated {
 		t.Error("baseline should violate capacity: the hot key exceeds q on one reducer")
+	}
+	// The load profile the engine-run baseline measured, pinned so the
+	// in-process join keeps the experiments' load ratios.
+	if base.JoinedCount != 1204 || base.ShuffleBytes != 1414 || base.MaxReducerLoad != 1330 {
+		t.Errorf("baseline joined=%d shuffle=%d max=%d, want 1204/1414/1330",
+			base.JoinedCount, base.ShuffleBytes, base.MaxReducerLoad)
+	}
+	if want := []int64{0, 0, 0, 0, 1330, 0, 0, 84}; !slices.Equal(base.ReducerLoads, want) {
+		t.Errorf("baseline ReducerLoads = %v, want %v", base.ReducerLoads, want)
 	}
 	// The skew-aware plan keeps every reducer's tuple payload within q while
 	// the baseline's max load exceeds it.
@@ -239,16 +249,18 @@ func TestHashJoinBaseline(t *testing.T) {
 	if res.JoinedCount != base.JoinedCount {
 		t.Errorf("plans disagree on output size: %d vs %d", res.JoinedCount, base.JoinedCount)
 	}
-	if res.Counters.MaxReducerLoad >= base.Counters.MaxReducerLoad {
+	if res.Counters.MaxReducerLoad >= base.MaxReducerLoad {
 		t.Errorf("skew-aware max load %d should be below baseline max load %d",
-			res.Counters.MaxReducerLoad, base.Counters.MaxReducerLoad)
+			res.Counters.MaxReducerLoad, base.MaxReducerLoad)
 	}
 }
 
+// TestHashJoinBaselineCountOnly checks the baseline's row count on a single
+// hot key: |X| x |Y| rows, computed without materializing them.
 func TestHashJoinBaselineCountOnly(t *testing.T) {
 	x := makeRelation("X", 10, map[string]int{"hot": 20})
 	y := makeRelation("Y", 10, map[string]int{"hot": 20})
-	base, err := HashJoinBaseline(x, y, 4, 100, true)
+	base, err := HashJoinBaseline(x, y, 4, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,37 +272,21 @@ func TestHashJoinBaselineCountOnly(t *testing.T) {
 func TestHashJoinBaselineErrors(t *testing.T) {
 	x := makeRelation("X", 4, map[string]int{"a": 1})
 	y := makeRelation("Y", 4, map[string]int{"a": 1})
-	if _, err := HashJoinBaseline(x, &workload.Relation{}, 4, 10, false); !errors.Is(err, ErrEmptyRelation) {
+	if _, err := HashJoinBaseline(x, &workload.Relation{}, 4, 10); !errors.Is(err, ErrEmptyRelation) {
 		t.Errorf("empty relation error = %v", err)
 	}
-	if _, err := HashJoinBaseline(x, y, 0, 10, false); err == nil {
+	if _, err := HashJoinBaseline(x, y, 0, 10); err == nil {
 		t.Error("accepted zero reducers")
 	}
 }
 
 func TestEncodingRoundTrips(t *testing.T) {
-	side, idx, key, payload, err := decodeInput(encodeInput('X', 12, workload.Tuple{Key: "k|weird", Payload: "p|1|2"}))
-	if err != nil || side != 'X' || idx != 12 || key != "k" {
-		// Keys containing '|' split early; the generator never produces such
-		// keys, but the decoder must not crash on them.
-		if err != nil {
-			t.Fatalf("decodeInput: %v", err)
-		}
-	}
-	_ = payload
-
 	s, k, p, err := decodeLightValue(encodeLightValue('Y', "key1", "payload"))
 	if err != nil || s != 'Y' || k != "key1" || p != "payload" {
 		t.Errorf("light value round trip = %c %q %q %v", s, k, p, err)
 	}
 	if _, _, _, err := decodeLightValue([]byte("garbage")); err == nil {
 		t.Error("decoded malformed light shuffle value")
-	}
-	if _, _, _, _, err := decodeInput([]byte("nope")); err == nil {
-		t.Error("decoded malformed input record")
-	}
-	if _, _, _, _, err := decodeInput([]byte("X|abc|k|p")); err == nil {
-		t.Error("decoded non-numeric tuple index")
 	}
 	jt, err := decodeJoined(encodeJoined(JoinedTuple{A: "a", B: "b", C: "c"}))
 	if err != nil || jt.A != "a" || jt.B != "b" || jt.C != "c" {

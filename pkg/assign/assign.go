@@ -132,7 +132,7 @@ func Collect(dst *[][]byte) Option {
 }
 
 // MemoryBudget bounds the in-memory shuffle bytes of Execute's pipeline.
-// Partitions over budget spill sorted run files to the spill directory and
+// Partitions over budget spill run files to the spill directory and
 // merge them back at reduce time; output is unchanged. Spill volume is
 // reported in Execution.Spill* and the pland_exec_spill_* metrics. Zero (the
 // default) means unbounded.
@@ -188,8 +188,8 @@ func Pair(fn PairFunc) Option {
 	return func(r *request) { r.pair = fn }
 }
 
-// Workers bounds Execute's reduce-phase parallelism; 0 (the default) runs
-// one worker per reducer.
+// Workers sets the size of Execute's reduce worker pool; 0 (the default)
+// means GOMAXPROCS.
 func Workers(n int) Option {
 	return func(r *request) { r.workers = n }
 }

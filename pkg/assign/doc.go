@@ -43,12 +43,12 @@
 //	    assign.Each(func(rec []byte) error { return out.Write(rec) }))
 //
 // MemoryBudget bounds the bytes of shuffled data held in memory: over-budget
-// reduce partitions spill sorted run files to a temp directory (SpillDir)
+// reduce partitions spill run files to a temp directory (SpillDir)
 // and merge them back at reduce time, so results are identical to an
 // unbounded run; the Execution reports SpillRuns, SpillPartitions, and
 // SpillBytes. ExecuteStream is the pull-side equivalent — it returns a
 // StreamExecution whose Next yields output records with backpressure and
-// whose Close cancels the run mid-pipeline:
+// whose Close cancels the run:
 //
 //	st, err := assign.ExecuteStream(ctx, opts...)
 //	for {
@@ -58,7 +58,7 @@
 //	}
 //	ex, err := st.Execution() // counters, audit, spill figures
 //
-// Contexts are honored mid-pipeline: cancelling the ctx given to Execute or
+// Contexts are honored while running: cancelling the ctx given to Execute or
 // ExecuteStream stops the map, shuffle, and reduce stages promptly and
 // removes any spill files.
 //

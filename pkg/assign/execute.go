@@ -35,7 +35,7 @@ type Execution struct {
 	ReducerLoads   []int64
 	MaxReducerLoad int64
 	// SpillRuns, SpillPartitions, and SpillBytes describe spill-to-disk
-	// activity under MemoryBudget: sorted run files written, distinct
+	// activity under MemoryBudget: run files written, distinct
 	// partitions that spilled, and total file bytes. All zero for unbounded
 	// runs.
 	SpillRuns       int64
@@ -52,7 +52,7 @@ type Execution struct {
 // runs exactly once per required pair at the pair's owning reducer, and the
 // run is audited against the schema unless NoAudit is given. The instance
 // must be concrete (Inputs, XYInputs, or Source) and Capacity and Pair are
-// required. Cancelling the context stops the run mid-pipeline and cleans up
+// required. Cancelling the context stops the run promptly and cleans up
 // any spill files.
 func Execute(ctx context.Context, opts ...Option) (*Execution, error) {
 	return Default.Execute(ctx, opts...)
