@@ -11,6 +11,7 @@ package repro_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"testing"
@@ -199,6 +200,42 @@ func BenchmarkPlannerCached(b *testing.B) {
 			b.Fatal("expected a cache hit")
 		}
 	}
+}
+
+// BenchmarkExactA2A and BenchmarkExactX2Y time the bounded exact members of
+// the planner's portfolio on their largest admitted instance: m=12 uniform
+// sizes at q=256 (X2Y splits them 6+6), under the planner's node budget.
+func BenchmarkExactA2A(b *testing.B) {
+	set := exactBenchSet(b, 12)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := a2a.Exact(set, 256, a2a.ExactOptions{MaxNodes: planner.DefaultExactMaxNodes}); err != nil && !errors.Is(err, a2a.ErrNodeBudget) {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkExactX2Y(b *testing.B) {
+	sizes := exactBenchSet(b, 12).Sizes()
+	xs, ys := core.MustNewInputSet(sizes[:6]), core.MustNewInputSet(sizes[6:])
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := x2y.Exact(xs, ys, 256, x2y.ExactOptions{MaxNodes: planner.DefaultExactMaxNodes}); err != nil && !errors.Is(err, x2y.ErrNodeBudget) {
+			b.Fatal(err)
+		}
+	}
+}
+
+// exactBenchSet draws the exact benchmarks' m uniform sizes in [1, 128].
+func exactBenchSet(b *testing.B, m int) *core.InputSet {
+	b.Helper()
+	set, err := workload.InputSet(workload.SizeSpec{Dist: workload.Uniform, Min: 1, Max: 128}, m, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return set
 }
 
 // BenchmarkExecBatch measures the schema-driven execution layer under

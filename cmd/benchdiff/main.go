@@ -18,6 +18,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -211,8 +212,12 @@ func mannWhitneyP(a, b []float64) float64 {
 
 // baselineFile is the schema of the committed BENCH_*.json baselines.
 type baselineFile struct {
-	Recorded   string                   `json:"recorded"`
-	Go         string                   `json:"go"`
+	Recorded string `json:"recorded"`
+	Go       string `json:"go"`
+	// GOMAXPROCS and CPU describe the machine the run came from, so a
+	// baseline is only compared with runs from the same kind of machine.
+	GOMAXPROCS int                      `json:"gomaxprocs"`
+	CPU        string                   `json:"cpu,omitempty"`
 	Note       string                   `json:"note,omitempty"`
 	Benchmarks map[string]baselineEntry `json:"benchmarks"`
 }
@@ -234,13 +239,20 @@ func runBaseline(inPath, outPath, note string, sel *regexp.Regexp) error {
 		defer f.Close()
 		in = f
 	}
-	samples, order, err := parseBench(in)
+	data, err := io.ReadAll(in)
 	if err != nil {
 		return err
 	}
+	samples, order, err := parseBench(bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	procs, cpu := benchMachine(data)
 	bf := baselineFile{
 		Recorded:   time.Now().UTC().Format("2006-01-02"),
 		Go:         runtime.Version(),
+		GOMAXPROCS: procs,
+		CPU:        cpu,
 		Note:       note,
 		Benchmarks: make(map[string]baselineEntry),
 	}
@@ -270,6 +282,25 @@ func runBaseline(inPath, outPath, note string, sel *regexp.Regexp) error {
 		return err
 	}
 	return os.WriteFile(outPath, blob, 0o644)
+}
+
+// procsSuffix captures the -N GOMAXPROCS suffix go test appends to every
+// benchmark name when N > 1.
+var procsSuffix = regexp.MustCompile(`^Benchmark\S+-(\d+)\s`)
+
+// benchMachine reads the run's GOMAXPROCS (from the benchmark name suffix;
+// go test omits it at 1) and the "cpu:" header line from bench output.
+func benchMachine(data []byte) (procs int, cpu string) {
+	procs = 1
+	for _, line := range strings.Split(string(data), "\n") {
+		if c, ok := strings.CutPrefix(line, "cpu: "); ok && cpu == "" {
+			cpu = strings.TrimSpace(c)
+		}
+		if m := procsSuffix.FindStringSubmatch(line); m != nil {
+			procs, _ = strconv.Atoi(m[1])
+		}
+	}
+	return procs, cpu
 }
 
 func mapSamples(ss []sample, f func(sample) float64) []float64 {

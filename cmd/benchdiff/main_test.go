@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"math"
 	"os"
 	"strings"
@@ -178,5 +179,31 @@ func TestGateFailsWhenHeadRunIsEmpty(t *testing.T) {
 	var out strings.Builder
 	if _, err := runGate(&out, oldPath, newPath, nil, 15, 0.05); err == nil {
 		t.Fatal("an empty head run must error (broken suite), not pass silently")
+	}
+}
+
+func TestBaselineRecordsMachine(t *testing.T) {
+	dir := t.TempDir()
+	in, out := dir+"/bench.txt", dir+"/BENCH.json"
+	run := "goos: linux\ncpu: Test CPU @ 2.00GHz\n" + oldRun
+	if err := os.WriteFile(in, []byte(run), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := runBaseline(in, out, "note", nil); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bf baselineFile
+	if err := json.Unmarshal(data, &bf); err != nil {
+		t.Fatal(err)
+	}
+	if bf.GOMAXPROCS != 8 || bf.CPU != "Test CPU @ 2.00GHz" {
+		t.Fatalf("machine = %d %q, want 8 %q", bf.GOMAXPROCS, bf.CPU, "Test CPU @ 2.00GHz")
+	}
+	if procs, _ := benchMachine([]byte("BenchmarkX \t 10\t 5 ns/op\n")); procs != 1 {
+		t.Fatalf("unsuffixed run: GOMAXPROCS = %d, want 1", procs)
 	}
 }

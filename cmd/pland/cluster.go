@@ -11,7 +11,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -260,6 +259,22 @@ func newJobID() string {
 	return hex.EncodeToString(b[:])
 }
 
+// fleetPlan is a plan request's place in the fleet cache: its key, and the
+// renaming between the request's input IDs and the canonical positions the
+// cached schema is stored in. Canonical position i of a side is its i-th
+// input in ascending (size, ID) order; for X2Y the canonical X side is the
+// one planKey orders first. Every requester of one key renames the same
+// canonical schema through its own permutations, so a hit is always a valid
+// schema over the requester's IDs, whatever order the solver saw.
+type fleetPlan struct {
+	key string
+	// perm[i] is the request ID at canonical position i of the A2A set or
+	// the canonical X side; yPerm likewise for the canonical Y side.
+	perm, yPerm []int
+	// swapped reports that the canonical X side is the request's Y side.
+	swapped bool
+}
+
 // planKey canonicalizes a plan request into its fleet-cache key: problem,
 // capacity, and the size multiset(s), independent of input order (and of the
 // X/Y side labels, which the planner also treats symmetrically). The timeout
@@ -267,41 +282,118 @@ func newJobID() string {
 // cache: an already-solved isomorphic instance is served as solved. The key
 // is a 128-bit FNV-1a of the canonical string, so collisions are negligible
 // and the key is URL- and ring-friendly.
-func planKey(body planRequest) (string, bool) {
+func planKey(body planRequest) (fleetPlan, bool) {
 	var b strings.Builder
-	writeSide := func(sizes []assign.Size) string {
-		sorted := append([]assign.Size(nil), sizes...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	// writeSide returns a side's canonical size list and permutation, in the
+	// planner's canonical order; invalid sizes are left unkeyed for runPlan
+	// to reject.
+	writeSide := func(sizes []assign.Size) (string, []int, bool) {
+		set, err := assign.NewInputSet(sizes)
+		if err != nil {
+			return "", nil, false
+		}
 		var sb strings.Builder
-		for i, sz := range sorted {
+		for i, sz := range set.CanonicalSizes() {
 			if i > 0 {
 				sb.WriteByte(',')
 			}
 			sb.WriteString(strconv.FormatInt(int64(sz), 10))
 		}
-		return sb.String()
+		return sb.String(), set.CanonicalPermutation(), true
 	}
+	var fp fleetPlan
 	switch strings.ToLower(body.Problem) {
 	case "a2a":
-		if len(body.Sizes) == 0 {
-			return "", false
+		side, perm, ok := writeSide(body.Sizes)
+		if !ok {
+			return fp, false
 		}
-		fmt.Fprintf(&b, "a2a|%d|%s", body.Capacity, writeSide(body.Sizes))
+		fp.perm = perm
+		fmt.Fprintf(&b, "a2a|%d|%s", body.Capacity, side)
 	case "x2y":
-		if len(body.XSizes) == 0 || len(body.YSizes) == 0 {
-			return "", false
+		x, xPerm, xok := writeSide(body.XSizes)
+		y, yPerm, yok := writeSide(body.YSizes)
+		if !xok || !yok {
+			return fp, false
 		}
-		x, y := writeSide(body.XSizes), writeSide(body.YSizes)
+		fp.perm, fp.yPerm = xPerm, yPerm
 		if x > y {
 			x, y = y, x
+			fp.perm, fp.yPerm, fp.swapped = yPerm, xPerm, true
 		}
 		fmt.Fprintf(&b, "x2y|%d|%s|%s", body.Capacity, x, y)
 	default:
-		return "", false
+		return fp, false
 	}
 	h := fnv.New128a()
 	_, _ = io.WriteString(h, b.String())
-	return "p-" + hex.EncodeToString(h.Sum(nil)), true
+	fp.key = "p-" + hex.EncodeToString(h.Sum(nil))
+	return fp, true
+}
+
+// marshalCached and decodeCached are the fleet-cache value codec: the full
+// planResponse JSON with its schema in canonical positions, renamed back to
+// the requester's IDs and stamped as a hit on the way out.
+func (fp fleetPlan) marshalCached(resp *planResponse) []byte {
+	cp := *resp
+	cp.FleetCacheHit = false
+	// The inverse of decodeCached's renaming: Renamed maps, then swaps.
+	xInv, yInv := inverse(fp.perm), inverse(fp.yPerm)
+	if fp.swapped {
+		xInv, yInv = yInv, xInv
+	}
+	cp.Schema = resp.Schema.Renamed(xInv, yInv, fp.swapped)
+	return cp.appendJSON(nil)
+}
+
+// decodeCached returns nil for a value that does not decode to a schema of
+// this request's shape — a corrupt or foreign entry is a miss, never a panic
+// or a schema over IDs the request does not have.
+func (fp fleetPlan) decodeCached(raw []byte) *planResponse {
+	var resp planResponse
+	if err := json.Unmarshal(raw, &resp); err != nil || resp.Schema == nil ||
+		!fp.fits(resp.Schema) {
+		return nil
+	}
+	resp.Schema = resp.Schema.Renamed(fp.perm, fp.yPerm, fp.swapped)
+	resp.FleetCacheHit = true
+	return &resp
+}
+
+// fits reports whether a canonical schema is of this request's problem and
+// references only canonical positions the request has.
+func (fp fleetPlan) fits(ms *assign.MappingSchema) bool {
+	inRange := func(ids []int, n int) bool {
+		for _, id := range ids {
+			if id < 0 || id >= n {
+				return false
+			}
+		}
+		return true
+	}
+	x2y := fp.yPerm != nil
+	if ms.Problem != assign.ProblemA2A && ms.Problem != assign.ProblemX2Y ||
+		(ms.Problem == assign.ProblemX2Y) != x2y {
+		return false
+	}
+	for _, r := range ms.Reducers {
+		if !inRange(r.Inputs, len(fp.perm)) || !inRange(r.XInputs, len(fp.perm)) || !inRange(r.YInputs, len(fp.yPerm)) {
+			return false
+		}
+	}
+	return true
+}
+
+// inverse returns the inverse of a permutation (nil for nil).
+func inverse(perm []int) []int {
+	if perm == nil {
+		return nil
+	}
+	inv := make([]int, len(perm))
+	for i, id := range perm {
+		inv[id] = i
+	}
+	return inv
 }
 
 // planFleet is handlePlan's solve path under clustering: the canonical key's
@@ -312,28 +404,28 @@ func planKey(body planRequest) (string, bool) {
 // single-node path.
 func (s *server) planFleet(ctx context.Context, body planRequest) (*planResponse, *apiError) {
 	c := s.cluster
-	key, keyed := "", false
+	var fp fleetPlan
+	keyed := false
 	if c != nil && !body.NoCache {
-		key, keyed = planKey(body)
+		fp, keyed = planKey(body)
 	}
 	if !keyed {
 		return s.runPlan(ctx, body, s.cfg.MaxTimeout)
 	}
+	key := fp.key
 	owner, ok := c.ring.Owner(key, c.health.Alive)
 	if !ok {
 		return s.runPlan(ctx, body, s.cfg.MaxTimeout)
 	}
 	if owner == c.self {
 		if raw, hit := c.cache.Get(key); hit {
-			if resp := decodeCached(raw); resp != nil {
+			if resp := fp.decodeCached(raw); resp != nil {
 				return resp, nil
 			}
 		}
 		resp, aerr := s.runPlan(ctx, body, s.cfg.MaxTimeout)
 		if aerr == nil {
-			if raw, err := marshalCached(resp); err == nil {
-				c.cache.Put(key, raw)
-			}
+			c.cache.Put(key, fp.marshalCached(resp))
 		}
 		return resp, aerr
 	}
@@ -351,7 +443,7 @@ func (s *server) planFleet(ctx context.Context, body planRequest) (*planResponse
 			c.health.MarkDown(owner)
 		}
 	case raw != nil:
-		if resp := decodeCached(raw); resp != nil {
+		if resp := fp.decodeCached(raw); resp != nil {
 			obsFleetProbes.With("hit").Inc()
 			return resp, nil
 		}
@@ -361,31 +453,12 @@ func (s *server) planFleet(ctx context.Context, body planRequest) (*planResponse
 	}
 	resp, aerr := s.runPlan(ctx, body, s.cfg.MaxTimeout)
 	if aerr == nil && err == nil {
-		if raw, merr := marshalCached(resp); merr == nil {
-			// Capture the request's trace identity now: the publish outlives
-			// the request context but should still correlate on the peer.
-			tc, _ := obs.TraceContextFrom(ctx)
-			go c.publish(owner, key, raw, obs.RequestID(ctx), tc)
-		}
+		// Capture the request's trace identity now: the publish outlives the
+		// request context but should still correlate on the peer.
+		tc, _ := obs.TraceContextFrom(ctx)
+		go c.publish(owner, key, fp.marshalCached(resp), obs.RequestID(ctx), tc)
 	}
 	return resp, aerr
-}
-
-// marshalCached and decodeCached are the fleet-cache value codec: the full
-// planResponse JSON, with the hit flag stamped on the way out.
-func marshalCached(resp *planResponse) ([]byte, error) {
-	cp := *resp
-	cp.FleetCacheHit = false
-	return json.Marshal(cp)
-}
-
-func decodeCached(raw []byte) *planResponse {
-	var resp planResponse
-	if err := json.Unmarshal(raw, &resp); err != nil || resp.Schema == nil {
-		return nil
-	}
-	resp.FleetCacheHit = true
-	return &resp
 }
 
 // publish ships a freshly solved result to the key owner's cache shard,

@@ -302,17 +302,18 @@ func TestReadyzLifecycle(t *testing.T) {
 
 // TestFleetPlanCache: one node's solve serves the whole fleet. The canonical
 // key's owner holds the cache shard; a solve elsewhere publishes to it, and
-// later isomorphic requests — through any node — come back as fleet hits.
+// later isomorphic requests — through any node — come back as fleet hits,
+// each renamed to that request's own input order (and X/Y sides).
 func TestFleetPlanCache(t *testing.T) {
 	servers, httpSrvs := newTestCluster(t, 3)
 	ctx := context.Background()
 
 	req := plandclient.PlanRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{3, 3, 2, 2, 4, 1}}
-	key, ok := planKey(planRequest{Problem: req.Problem, Capacity: req.Capacity, Sizes: req.Sizes})
+	fp, ok := planKey(planRequest{Problem: req.Problem, Capacity: req.Capacity, Sizes: req.Sizes})
 	if !ok {
 		t.Fatal("planKey rejected a valid request")
 	}
-	owner := servers[0].cluster.ring.Lookup(key)
+	owner := servers[0].cluster.ring.Lookup(fp.key)
 	ownerIdx := nodeIndex(t, httpSrvs, owner)
 	solverIdx := (ownerIdx + 1) % len(httpSrvs) // deliberately not the owner
 
@@ -323,15 +324,8 @@ func TestFleetPlanCache(t *testing.T) {
 	if first.FleetCacheHit {
 		t.Fatal("first solve reported a fleet cache hit")
 	}
-
-	// The publish to the owner's shard is asynchronous; wait for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for servers[ownerIdx].cluster.cache.Len() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("solved result never reached the owner's cache shard")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	checkServedPlan(t, req, first)
+	awaitPublished(t, servers[ownerIdx], fp.key)
 
 	// An isomorphic instance (same multiset, different order) through the
 	// owner and through a third node must both be fleet hits now.
@@ -348,6 +342,7 @@ func TestFleetPlanCache(t *testing.T) {
 		if got.Reducers != first.Reducers || got.Communication != first.Communication {
 			t.Fatalf("fleet-cached result diverged: %+v vs %+v", got, first)
 		}
+		checkServedPlan(t, iso, got)
 	}
 
 	// NoCache opts out of the fleet layer entirely.
@@ -359,6 +354,100 @@ func TestFleetPlanCache(t *testing.T) {
 	}
 	if got.FleetCacheHit {
 		t.Fatal("no_cache request served from the fleet cache")
+	}
+
+	// X2Y with the sides swapped (and each side reordered) shares the key;
+	// the hit must come back with X IDs on the X side and Y IDs on the Y side.
+	xreq := plandclient.PlanRequest{Problem: "X2Y", Capacity: 10,
+		XSizes: []assign.Size{7, 2, 1}, YSizes: []assign.Size{1, 2, 1, 1}}
+	swapped := plandclient.PlanRequest{Problem: "X2Y", Capacity: 10,
+		XSizes: []assign.Size{1, 1, 2, 1}, YSizes: []assign.Size{2, 7, 1}}
+	xfp, _ := planKey(planRequest{Problem: xreq.Problem, Capacity: xreq.Capacity, XSizes: xreq.XSizes, YSizes: xreq.YSizes})
+	sfp, _ := planKey(planRequest{Problem: swapped.Problem, Capacity: swapped.Capacity, XSizes: swapped.XSizes, YSizes: swapped.YSizes})
+	if xfp.key != sfp.key || xfp.swapped == sfp.swapped {
+		t.Fatalf("swapped X2Y request keyed %q (swapped=%v), original %q (swapped=%v)", sfp.key, sfp.swapped, xfp.key, xfp.swapped)
+	}
+	xOwnerIdx := nodeIndex(t, httpSrvs, servers[0].cluster.ring.Lookup(xfp.key))
+	xfirst, err := plandclient.New(httpSrvs[(xOwnerIdx+1)%len(httpSrvs)].URL).Plan(ctx, xreq)
+	if err != nil {
+		t.Fatalf("X2Y plan: %v", err)
+	}
+	checkServedPlan(t, xreq, xfirst)
+	awaitPublished(t, servers[xOwnerIdx], xfp.key)
+	// Hits go to the swapped request and to a reordering of the original, so
+	// both renaming directions are served from the one canonical entry.
+	reordered := plandclient.PlanRequest{Problem: "X2Y", Capacity: 10,
+		XSizes: []assign.Size{1, 7, 2}, YSizes: []assign.Size{1, 1, 2, 1}}
+	for _, hreq := range []plandclient.PlanRequest{swapped, reordered} {
+		for _, idx := range []int{xOwnerIdx, (xOwnerIdx + 2) % len(httpSrvs)} {
+			got, err := plandclient.New(httpSrvs[idx].URL).Plan(ctx, hreq)
+			if err != nil {
+				t.Fatalf("X2Y plan %+v via node %d: %v", hreq, idx, err)
+			}
+			if !got.FleetCacheHit {
+				t.Fatalf("node %d solved X2Y %+v instead of serving the fleet cache", idx, hreq)
+			}
+			if got.Reducers != xfirst.Reducers || got.Communication != xfirst.Communication {
+				t.Fatalf("fleet-cached X2Y result diverged: %+v vs %+v", got, xfirst)
+			}
+			checkServedPlan(t, hreq, got)
+		}
+	}
+}
+
+// TestFleetCacheDecodeRejectsForeignEntries: a fleet-cache value whose schema
+// is of the other problem or names canonical positions the request lacks is
+// a miss, not a panic or a schema over IDs the request does not have.
+func TestFleetCacheDecodeRejectsForeignEntries(t *testing.T) {
+	fp, _ := planKey(planRequest{Problem: "A2A", Capacity: 10, Sizes: []assign.Size{4, 3, 5}})
+	for _, raw := range []string{
+		`{"schema":{"problem":"A2A","capacity":10,"reducers":[{"inputs":[0,3],"load":8}]}}`,
+		`{"schema":{"problem":"A2A","capacity":10,"reducers":[{"inputs":[-1,0],"load":8}]}}`,
+		`{"schema":{"problem":"X2Y","capacity":10,"reducers":[{"x_inputs":[0],"y_inputs":[1],"load":8}]}}`,
+		`{"schema":null}`,
+		`not json`,
+	} {
+		if resp := fp.decodeCached([]byte(raw)); resp != nil {
+			t.Errorf("decodeCached(%s) = %+v, want a miss", raw, resp)
+		}
+	}
+	// The round trip through the codec renames back to the request's IDs.
+	resp := &planResponse{Schema: &assign.MappingSchema{Problem: assign.ProblemA2A, Capacity: 10,
+		Reducers: []assign.Reducer{{Inputs: []int{0, 1}, Load: 7}, {Inputs: []int{1, 2}, Load: 8}, {Inputs: []int{0, 2}, Load: 9}}}}
+	got := fp.decodeCached(fp.marshalCached(resp))
+	if got == nil || !got.FleetCacheHit || !bytes.Equal(got.Schema.AppendJSON(nil), resp.Schema.AppendJSON(nil)) {
+		t.Fatalf("codec round trip = %+v, want %+v as a hit", got, resp)
+	}
+}
+
+// awaitPublished waits for the asynchronous publish of key to land in the
+// node's fleet cache shard.
+func awaitPublished(t *testing.T, s *server, key string) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok := s.cluster.cache.Get(key); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("solved result never reached the owner's cache shard")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// checkServedPlan validates a served schema against the request's own sizes
+// and order: every required pair covered, no reducer over capacity.
+func checkServedPlan(t *testing.T, req plandclient.PlanRequest, res *plandclient.PlanResult) {
+	t.Helper()
+	var err error
+	if req.Problem == "X2Y" {
+		err = res.Schema.ValidateX2Y(assign.MustNewInputSet(req.XSizes), assign.MustNewInputSet(req.YSizes))
+	} else {
+		err = res.Schema.ValidateA2A(assign.MustNewInputSet(req.Sizes))
+	}
+	if err != nil {
+		t.Fatalf("served schema (fleet hit %v) invalid for %+v: %v", res.FleetCacheHit, req, err)
 	}
 }
 

@@ -7,11 +7,13 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/jobs"
+	"repro/internal/jsonenc"
 	"repro/internal/obs"
 	"repro/internal/wal"
 	"repro/pkg/assign"
@@ -308,6 +310,67 @@ type planResponse struct {
 	ElapsedMicros int64 `json:"elapsed_us"`
 }
 
+// appendJSON appends the response's JSON form to b: the bytes json.Marshal
+// produces for the struct above, written without reflection and without
+// re-scanning the schema's own encoding.
+func (r *planResponse) appendJSON(b []byte) []byte {
+	b = append(b, `{"schema":`...)
+	if r.Schema == nil {
+		b = append(b, "null"...)
+	} else {
+		b = r.Schema.AppendJSON(b)
+	}
+	b = append(b, `,"reducers":`...)
+	b = strconv.AppendInt(b, int64(r.Reducers), 10)
+	b = append(b, `,"communication":`...)
+	b = strconv.AppendInt(b, int64(r.Communication), 10)
+	b = append(b, `,"replication_rate":`...)
+	b = jsonenc.AppendFloat(b, r.ReplicationRate)
+	b = append(b, `,"max_load":`...)
+	b = strconv.AppendInt(b, int64(r.MaxLoad), 10)
+	b = append(b, `,"winner":`...)
+	b = jsonenc.AppendString(b, r.Winner)
+	b = append(b, `,"lower_bound_reducers":`...)
+	b = strconv.AppendInt(b, int64(r.LowerBoundReducers), 10)
+	b = append(b, `,"gap":`...)
+	b = strconv.AppendInt(b, int64(r.Gap), 10)
+	b = append(b, `,"candidates":`...)
+	b = strconv.AppendInt(b, int64(r.Candidates), 10)
+	b = append(b, `,"cache_hit":`...)
+	b = strconv.AppendBool(b, r.CacheHit)
+	b = append(b, `,"shared_flight":`...)
+	b = strconv.AppendBool(b, r.SharedFlight)
+	if r.FleetCacheHit {
+		b = append(b, `,"fleet_cache_hit":true`...)
+	}
+	b = append(b, `,"elapsed_us":`...)
+	b = strconv.AppendInt(b, r.ElapsedMicros, 10)
+	return append(b, '}')
+}
+
+// planBufs recycles /v1/plan response buffers, as json.Encoder pools its
+// own: a response for a large instance runs to hundreds of KiB. Buffers that
+// grew past maxPooledPlanBuf are left to the GC rather than pinned.
+var planBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledPlanBuf = 1 << 20
+
+// writePlan writes a 200 plan response: exactly what writeJSON would send,
+// trailing newline included, in one Write.
+func writePlan(w http.ResponseWriter, resp *planResponse) {
+	bp := planBufs.Get().(*[]byte)
+	b := append(resp.appendJSON((*bp)[:0]), '\n')
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(b); err != nil {
+		slog.Error("writing plan response", "error", err)
+	}
+	if cap(b) <= maxPooledPlanBuf {
+		*bp = b
+		planBufs.Put(bp)
+	}
+}
+
 // decodeBody decodes a JSON body under the server's size cap.
 func (s *server) decodeBody(w http.ResponseWriter, r *http.Request, v any) *apiError {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
@@ -337,7 +400,7 @@ func (s *server) handlePlan(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, aerr)
 		return
 	}
-	writeJSON(w, http.StatusOK, resp)
+	writePlan(w, resp)
 }
 
 // validSizes rejects what assign.Plan itself would reject, but as an

@@ -17,7 +17,9 @@
 //     residual capacity next to each big input.
 //   - Greedy: a coverage-greedy heuristic used as a baseline.
 //   - Exact: a branch-and-bound solver for small instances, used to measure
-//     approximation ratios.
+//     approximation ratios. Its search state is machine words (a uint64
+//     membership mask per open reducer and a uint64 coverage row per input),
+//     so it rejects instances over 64 inputs.
 //   - Lower bounds on the number of reducers and on the communication cost,
 //     against which all of the above are reported.
 //

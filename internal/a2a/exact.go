@@ -3,6 +3,7 @@ package a2a
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -15,9 +16,15 @@ var ErrTooLargeForExact = errors.New("a2a: instance too large for the exact solv
 // returned schema is the best one found (valid, but possibly not optimal).
 var ErrNodeBudget = errors.New("a2a: exact solver node budget exhausted")
 
+// maxExactInputs is the hard ceiling on Exact's instance size: the search
+// keeps each reducer's membership and each input's coverage row in one
+// uint64.
+const maxExactInputs = 64
+
 // ExactOptions configures the exact solver.
 type ExactOptions struct {
-	// MaxInputs caps the instance size; 0 means the default of 12.
+	// MaxInputs caps the instance size; 0 means the default of 12. Instances
+	// over 64 inputs are always rejected.
 	MaxInputs int
 	// MaxNodes caps the number of explored search nodes; 0 means the default
 	// of 2 million.
@@ -31,6 +38,10 @@ type ExactOptions struct {
 // Branches that cannot beat the incumbent (seeded with the best heuristic
 // schema) are pruned.
 //
+// The search state is machine words: one uint64 membership mask per open
+// reducer and one uint64 coverage row per input, so instances over 64 inputs
+// return ErrTooLargeForExact whatever MaxInputs says.
+//
 // The A2A mapping schema problem is NP-complete, so Exact is intended for the
 // small instances used to measure approximation ratios (experiment T8).
 func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, error) {
@@ -41,8 +52,8 @@ func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 2_000_000
 	}
-	if set.Len() > opts.MaxInputs {
-		return nil, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, set.Len(), opts.MaxInputs)
+	if limit := min(opts.MaxInputs, maxExactInputs); set.Len() > limit {
+		return nil, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, set.Len(), limit)
 	}
 	if set.Len() == 0 {
 		return emptySchema(q, algorithm), nil
@@ -64,20 +75,27 @@ func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 		return nil, err
 	}
 	best := incumbent.NumReducers()
-	bestReducers := cloneReducerSets(incumbent)
+	bestSets := make([][]int, best)
+	for i, r := range incumbent.Reducers {
+		bestSets[i] = r.Inputs
+	}
 
-	bounds := LowerBounds(set, q)
-
+	pairs := m * (m - 1) / 2
 	s := &exactSearch{
-		set:      set,
+		sizes:    set.Sizes(),
 		q:        q,
 		m:        m,
 		best:     best,
-		bestSets: bestReducers,
+		bestSets: bestSets,
 		maxNodes: opts.MaxNodes,
-		lower:    bounds.Reducers,
+		lower:    LowerBounds(set, q).Reducers,
+		members:  make([]uint64, best),
+		loads:    make([]core.Size, best),
+		// Every move covers at least one pair, so the tree is at most
+		// pairs deep.
+		frames: make([]uint64, (pairs+1)*m),
 	}
-	s.search(newCoverage(m), nil, nil)
+	s.search(0, 0, pairs, 0)
 
 	ms := &core.MappingSchema{Problem: core.ProblemA2A, Capacity: q, Algorithm: algorithm}
 	for _, ids := range s.bestSets {
@@ -89,8 +107,13 @@ func Exact(set *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSch
 	return ms, nil
 }
 
+// exactSearch is the branch-and-bound state. members[r] is open reducer r's
+// input mask and loads[r] its load. frames is a stack of coverage frames, m
+// words each: word i of the frame at depth d holds the inputs already covered
+// with input i. A move copies its frame one level down and edits the copy,
+// so backtracking is just returning.
 type exactSearch struct {
-	set       *core.InputSet
+	sizes     []core.Size
 	q         core.Size
 	m         int
 	best      int
@@ -99,12 +122,15 @@ type exactSearch struct {
 	maxNodes  int
 	exhausted bool
 	lower     int
+	members   []uint64
+	loads     []core.Size
+	frames    []uint64
 }
 
-// search explores assignments. reducers holds the current reducer member
-// lists; loads the matching loads. cov tracks covered pairs and is mutated
-// in place with explicit undo.
-func (s *exactSearch) search(cov *coverage, reducers [][]int, loads []core.Size) {
+// search explores assignments from the coverage frame at depth with n open
+// reducers and remaining uncovered pairs. Every uncovered pair (i, j) has
+// i >= from, since coverage only grows down the tree.
+func (s *exactSearch) search(depth, n, remaining, from int) {
 	if s.exhausted || s.best == s.lower {
 		return
 	}
@@ -113,112 +139,95 @@ func (s *exactSearch) search(cov *coverage, reducers [][]int, loads []core.Size)
 		s.exhausted = true
 		return
 	}
-	if cov.remaining == 0 {
-		if len(reducers) < s.best {
-			s.best = len(reducers)
-			s.bestSets = make([][]int, len(reducers))
-			for i, r := range reducers {
-				s.bestSets[i] = append([]int(nil), r...)
+	if remaining == 0 {
+		if n < s.best {
+			s.best = n
+			s.bestSets = make([][]int, n)
+			for r, mask := range s.members[:n] {
+				s.bestSets[r] = maskIDs(mask)
 			}
 		}
 		return
 	}
-	if len(reducers) >= s.best {
+	if n >= s.best {
 		return
 	}
-	i, j := cov.firstUncoveredFrom(0, 1)
-	wi, wj := s.set.Size(i), s.set.Size(j)
+	m := s.m
+	cov := s.frames[depth*m : (depth+1)*m]
+	// The lexicographically first uncovered pair (i, j), i < j.
+	i := from
+	var open uint64
+	for ; ; i++ {
+		if open = ^cov[i] &^ (2<<i - 1) & (1<<m - 1); open != 0 {
+			break
+		}
+	}
+	j := bits.TrailingZeros64(open)
+	bi, bj := uint64(1)<<i, uint64(1)<<j
+	wi, wj := s.sizes[i], s.sizes[j]
+
+	next := s.frames[(depth+1)*m : (depth+2)*m]
 
 	// Option A: place the pair into an existing reducer.
-	for r := range reducers {
-		hasI, hasJ := contains(reducers[r], i), contains(reducers[r], j)
+	for r := 0; r < n; r++ {
+		mask := s.members[r]
+		var added uint64
 		var extra core.Size
-		switch {
+		switch hasI, hasJ := mask&bi != 0, mask&bj != 0; {
 		case hasI && hasJ:
 			continue // the pair would already be covered; cannot happen
 		case hasI:
-			extra = wj
+			added, extra = bj, wj
 		case hasJ:
-			extra = wi
+			added, extra = bi, wi
 		default:
-			extra = wi + wj
+			added, extra = bi|bj, wi+wj
 		}
-		if loads[r]+extra > s.q {
+		if s.loads[r]+extra > s.q {
 			continue
 		}
-		// Apply.
-		added := make([]int, 0, 2)
-		if !hasI {
-			added = append(added, i)
+		// Cover every pair the added input(s) form with the members and, when
+		// both are new, with each other.
+		copy(next, cov)
+		newly := 0
+		for a := added; a != 0; a &= a - 1 {
+			x := bits.TrailingZeros64(a)
+			newly += bits.OnesCount64(mask &^ cov[x])
+			next[x] |= mask
 		}
-		if !hasJ {
-			added = append(added, j)
+		for b := mask; b != 0; b &= b - 1 {
+			next[bits.TrailingZeros64(b)] |= added
 		}
-		newlyCovered := applyAdd(cov, reducers[r], added)
-		reducers[r] = append(reducers[r], added...)
-		loads[r] += extra
+		if added == bi|bj {
+			next[i] |= bj
+			next[j] |= bi
+			newly++
+		}
+		s.members[r] = mask | added
+		s.loads[r] += extra
 
-		s.search(cov, reducers, loads)
+		s.search(depth+1, n, remaining-newly, i)
 
-		// Undo.
-		reducers[r] = reducers[r][:len(reducers[r])-len(added)]
-		loads[r] -= extra
-		undoCover(cov, newlyCovered)
+		s.members[r] = mask
+		s.loads[r] -= extra
 	}
 
 	// Option B: open a new reducer with exactly this pair.
-	if len(reducers)+1 < s.best && wi+wj <= s.q {
-		cov.cover(i, j)
-		reducers = append(reducers, []int{i, j})
-		loads = append(loads, wi+wj)
-		s.search(cov, reducers, loads)
-		cov.uncover(i, j)
-		// The appended slices are local to this call frame; nothing to undo.
+	if n+1 < s.best && wi+wj <= s.q {
+		copy(next, cov)
+		next[i] |= bj
+		next[j] |= bi
+		s.members[n] = bi | bj
+		s.loads[n] = wi + wj
+		s.search(depth+1, n+1, remaining-1, i)
 	}
 }
 
-// applyAdd covers every new pair formed by the added inputs with the existing
-// members (and with each other) and returns the list of pairs that were newly
-// covered so they can be undone.
-func applyAdd(cov *coverage, members []int, added []int) [][2]int {
-	var newly [][2]int
-	for _, a := range added {
-		for _, b := range members {
-			if !cov.covered(a, b) {
-				cov.cover(a, b)
-				newly = append(newly, [2]int{a, b})
-			}
-		}
+// maskIDs lists the set bits of mask in ascending order.
+func maskIDs(mask uint64) []int {
+	ids := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		ids = append(ids, bits.TrailingZeros64(mask))
 	}
-	if len(added) == 2 {
-		a, b := added[0], added[1]
-		if !cov.covered(a, b) {
-			cov.cover(a, b)
-			newly = append(newly, [2]int{a, b})
-		}
-	}
-	return newly
-}
-
-func undoCover(cov *coverage, pairs [][2]int) {
-	for _, p := range pairs {
-		cov.uncover(p[0], p[1])
-	}
-}
-
-func contains(ids []int, x int) bool {
-	for _, id := range ids {
-		if id == x {
-			return true
-		}
-	}
-	return false
-}
-
-func cloneReducerSets(ms *core.MappingSchema) [][]int {
-	out := make([][]int, len(ms.Reducers))
-	for i, r := range ms.Reducers {
-		out[i] = append([]int(nil), r.Inputs...)
-	}
-	return out
+	return ids
 }

@@ -73,6 +73,15 @@ func TestExactTooLarge(t *testing.T) {
 	}
 }
 
+// TestExactTooLargeForWords: the search state is one machine word per input,
+// so 65 inputs are rejected even when MaxInputs would allow them.
+func TestExactTooLargeForWords(t *testing.T) {
+	set, _ := core.UniformInputSet(65, 1)
+	if _, err := Exact(set, 4, ExactOptions{MaxInputs: 100}); !errors.Is(err, ErrTooLargeForExact) {
+		t.Errorf("Exact = %v, want ErrTooLargeForExact", err)
+	}
+}
+
 func TestExactInfeasible(t *testing.T) {
 	set := core.MustNewInputSet([]core.Size{8, 8})
 	if _, err := Exact(set, 10, ExactOptions{}); !errors.Is(err, core.ErrInfeasible) {

@@ -95,13 +95,6 @@ func newCoverage(m int) *coverage {
 // row exposes input i's covered-with row for bitset queries.
 func (c *coverage) row(i int) *core.CoverSet { return &c.rows[i] }
 
-func (c *coverage) covered(i, j int) bool {
-	if i == j {
-		return true
-	}
-	return c.rows[i].Contains(j)
-}
-
 func (c *coverage) cover(i, j int) {
 	if i == j || c.rows[i].Contains(j) {
 		return
@@ -111,39 +104,21 @@ func (c *coverage) cover(i, j int) {
 	c.remaining--
 }
 
-// uncover reverts a cover call. It is used by the exact solver's
-// backtracking; note that it does not adjust the scan cursor, so callers that
-// uncover must use firstUncoveredFrom rather than firstUncovered.
-func (c *coverage) uncover(i, j int) {
-	if i == j || !c.rows[i].Contains(j) {
-		return
-	}
-	c.rows[i].Remove(j)
-	c.rows[j].Remove(i)
-	c.remaining++
-}
-
-// firstUncoveredFrom scans for the first uncovered pair at or after (i0, j0)
-// in lexicographic order, without using the cursor.
-func (c *coverage) firstUncoveredFrom(i0, j0 int) (int, int) {
-	i, j := i0, j0
+// firstUncovered returns the lexicographically first uncovered pair. It must
+// only be called when remaining > 0. Coverage only grows, so the scan resumes
+// at the cursor: every pair before it is covered.
+func (c *coverage) firstUncovered() (int, int) {
+	i, j := c.cursorI, c.cursorJ
 	for i < c.m {
 		if j < i+1 {
 			j = i + 1
 		}
 		if next := c.rows[i].NextAbsent(j); next < c.m {
+			c.cursorI, c.cursorJ = i, next
 			return i, next
 		}
 		i++
 		j = i + 1
 	}
 	return 0, 1
-}
-
-// firstUncovered returns the lexicographically first uncovered pair. It must
-// only be called when remaining > 0.
-func (c *coverage) firstUncovered() (int, int) {
-	i, j := c.firstUncoveredFrom(c.cursorI, c.cursorJ)
-	c.cursorI, c.cursorJ = i, j
-	return i, j
 }

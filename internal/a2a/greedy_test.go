@@ -82,30 +82,21 @@ func TestCoverageBookkeeping(t *testing.T) {
 	if c.remaining != 5 {
 		t.Errorf("remaining = %d, want 5", c.remaining)
 	}
-	if !c.covered(0, 1) || !c.covered(1, 0) {
-		t.Error("pair (0,1) should be covered")
+	if !c.row(0).Contains(1) || !c.row(1).Contains(0) {
+		t.Error("pair (0,1) should be covered in both rows")
 	}
-	if !c.covered(2, 2) {
-		t.Error("self pairs are trivially covered")
+	c.cover(2, 2) // self pairs are trivially covered
+	if c.remaining != 5 {
+		t.Errorf("covering a self pair changed remaining to %d", c.remaining)
 	}
 	i, j := c.firstUncovered()
 	if i != 0 || j != 2 {
 		t.Errorf("firstUncovered = (%d,%d), want (0,2)", i, j)
 	}
-	c.uncover(0, 1)
-	if c.remaining != 6 {
-		t.Errorf("after uncover remaining = %d, want 6", c.remaining)
-	}
-	c.uncover(0, 1) // idempotent
-	if c.remaining != 6 {
-		t.Errorf("double uncover changed remaining to %d", c.remaining)
-	}
-	i, j = c.firstUncoveredFrom(0, 1)
-	if i != 0 || j != 1 {
-		t.Errorf("firstUncoveredFrom = (%d,%d), want (0,1)", i, j)
-	}
-	c.uncover(3, 3) // no-op
-	if c.remaining != 6 {
-		t.Error("uncovering a self pair changed the count")
+	c.cover(0, 2)
+	c.cover(0, 3)
+	i, j = c.firstUncovered()
+	if i != 1 || j != 2 {
+		t.Errorf("firstUncovered = (%d,%d), want (1,2)", i, j)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -104,6 +105,52 @@ func (ms *MappingSchema) AddReducerX2Y(xs, ys *InputSet, xIDs, yIDs []int) {
 		load += ys.Size(id)
 	}
 	ms.Reducers = append(ms.Reducers, Reducer{XInputs: cx, YInputs: cy, Load: load})
+}
+
+// Renamed returns a deep copy of the schema with every input ID renamed: A2A
+// and X IDs through xMap, Y IDs through yMap, each renamed list sorted. With
+// swap the renamed X and Y lists trade sides, for X2Y instances whose sides
+// were mirrored. Loads are copied, since renaming does not change them. Every
+// ID must index its map.
+//
+// The copy is one []Reducer plus one ID arena shared by all reducers, so it
+// costs the same few allocations however many reducers the schema has. Each
+// list is a capped slice of the arena: appending to one reallocates instead
+// of overwriting its neighbour.
+func (ms *MappingSchema) Renamed(xMap, yMap []int, swap bool) *MappingSchema {
+	out := &MappingSchema{
+		Problem:   ms.Problem,
+		Capacity:  ms.Capacity,
+		Algorithm: ms.Algorithm,
+		Reducers:  make([]Reducer, len(ms.Reducers)),
+	}
+	n := 0
+	for _, r := range ms.Reducers {
+		n += len(r.Inputs) + len(r.XInputs) + len(r.YInputs)
+	}
+	arena := make([]int, n)
+	rename := func(ids, mapping []int) []int {
+		if len(ids) == 0 {
+			return nil
+		}
+		renamed := arena[:len(ids):len(ids)]
+		arena = arena[len(ids):]
+		for i, id := range ids {
+			renamed[i] = mapping[id]
+		}
+		slices.Sort(renamed)
+		return renamed
+	}
+	for k, r := range ms.Reducers {
+		red := &out.Reducers[k]
+		red.Inputs = rename(r.Inputs, xMap)
+		red.XInputs, red.YInputs = rename(r.XInputs, xMap), rename(r.YInputs, yMap)
+		if swap {
+			red.XInputs, red.YInputs = red.YInputs, red.XInputs
+		}
+		red.Load = r.Load
+	}
+	return out
 }
 
 // ValidateA2A checks that the schema is a valid solution of the A2A mapping

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -229,5 +230,28 @@ func TestValidateA2ARandomSchemas(t *testing.T) {
 		if err := dropped.ValidateA2A(set); !errors.Is(err, ErrPairUncovered) {
 			t.Fatalf("dropping a pair reducer should uncover a pair, got %v", err)
 		}
+	}
+}
+
+func TestRenamed(t *testing.T) {
+	ms := &MappingSchema{Problem: ProblemX2Y, Capacity: 9, Algorithm: "x", Reducers: []Reducer{
+		{XInputs: []int{0, 1}, YInputs: []int{2}, Load: 7},
+		{XInputs: []int{2}, YInputs: []int{0, 1}, Load: 5},
+	}}
+	got := ms.Renamed([]int{2, 0, 1}, []int{1, 2, 0}, true)
+	want := []Reducer{
+		{XInputs: []int{0}, YInputs: []int{0, 2}, Load: 7},
+		{XInputs: []int{1, 2}, YInputs: []int{1}, Load: 5},
+	}
+	if !reflect.DeepEqual(got.Reducers, want) || got.Capacity != 9 || got.Algorithm != "x" {
+		t.Fatalf("Renamed = %+v, want reducers %+v", got, want)
+	}
+	// Lists share one arena but are capped: an append reallocates.
+	_ = append(got.Reducers[0].YInputs, 99)
+	if !reflect.DeepEqual(got.Reducers[1], want[1]) {
+		t.Fatalf("append to reducer 0 clobbered reducer 1: %+v", got.Reducers[1])
+	}
+	if ms.Reducers[0].XInputs[0] != 0 {
+		t.Fatal("Renamed modified its receiver")
 	}
 }

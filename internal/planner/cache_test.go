@@ -166,3 +166,36 @@ func TestCacheLRUEviction(t *testing.T) {
 		t.Error("recently used instance should still be cached")
 	}
 }
+
+// TestCacheHitAllocsIndependentOfReducers pins the one-arena rename: a
+// cache hit allocates the same handful of objects whether the served schema
+// has a few reducers or thousands.
+func TestCacheHitAllocsIndependentOfReducers(t *testing.T) {
+	p := New(Config{})
+	hitAllocs := func(set *core.InputSet, q core.Size, problem core.Problem) (float64, int) {
+		req := Request{Problem: problem, Set: set, X: set, Y: set, Capacity: q}
+		res, err := p.Plan(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(50, func() {
+			if res, err := p.Plan(context.Background(), req); err != nil || !res.CacheHit {
+				t.Fatalf("expected a cache hit, got %v", err)
+			}
+		})
+		return allocs, res.Schema.NumReducers()
+	}
+	for _, problem := range []core.Problem{core.ProblemA2A, core.ProblemX2Y} {
+		small, _ := core.UniformInputSet(8, 10)
+		large, _ := core.UniformInputSet(300, 10)
+		a, ra := hitAllocs(small, 40, problem)
+		b, rb := hitAllocs(large, 40, problem)
+		if ra >= rb {
+			t.Fatalf("%v: reducer counts %d and %d do not grow", problem, ra, rb)
+		}
+		t.Logf("%v: %.0f allocs/hit at %d reducers, %.0f at %d", problem, a, ra, b, rb)
+		if a != b {
+			t.Errorf("%v: a cache hit allocates %.0f objects at %d reducers but %.0f at %d", problem, a, ra, b, rb)
+		}
+	}
+}

@@ -106,36 +106,3 @@ func (cn *canonical) matches(problem core.Problem, q core.Size, sizes, ySizes []
 	return cn.problem == problem && cn.q == q &&
 		slices.Equal(cn.sizes, sizes) && slices.Equal(cn.ySizes, ySizes)
 }
-
-// materialize translates a schema over canonical IDs into one over the
-// request's original IDs, using the stored permutations. The returned schema
-// is a fresh deep copy; cached schemas are never handed out directly.
-func (cn *canonical) materialize(req Request, canon *core.MappingSchema) *core.MappingSchema {
-	ms := &core.MappingSchema{Problem: canon.Problem, Capacity: canon.Capacity, Algorithm: canon.Algorithm}
-	switch cn.problem {
-	case core.ProblemA2A:
-		for _, r := range canon.Reducers {
-			ms.AddReducerA2A(req.Set, mapIDs(r.Inputs, cn.perm))
-		}
-	case core.ProblemX2Y:
-		for _, r := range canon.Reducers {
-			xIDs := mapIDs(r.XInputs, cn.perm)
-			yIDs := mapIDs(r.YInputs, cn.yPerm)
-			if cn.swapped {
-				// perm maps to original Y IDs, yPerm to original X IDs.
-				ms.AddReducerX2Y(req.X, req.Y, yIDs, xIDs)
-			} else {
-				ms.AddReducerX2Y(req.X, req.Y, xIDs, yIDs)
-			}
-		}
-	}
-	return ms
-}
-
-func mapIDs(canonIDs, perm []int) []int {
-	out := make([]int, len(canonIDs))
-	for i, c := range canonIDs {
-		out[i] = perm[c]
-	}
-	return out
-}

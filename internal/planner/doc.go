@@ -10,6 +10,10 @@
 // canonical solution in a sharded, concurrency-safe LRU cache with
 // single-flight deduplication: isomorphic instances — including X2Y instances
 // with the sides swapped — are solved once and served by renaming IDs back.
+// A served schema is one fresh allocation of reducers plus one shared ID
+// arena, each reducer's canonical IDs mapped through the request's
+// permutation into its own capped slice of the arena, so a cache hit costs
+// the same few allocations however many reducers the plan has.
 // The cmd/pland HTTP server exposes the same facade over JSON, and the
 // simjoin and skewjoin applications plan through it by default.
 package planner

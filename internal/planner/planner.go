@@ -72,7 +72,9 @@ type Budget struct {
 	// do not depend on wall-clock scheduling.
 	Timeout time.Duration
 	// ExactMaxInputs caps the instance size the exact solvers attempt;
-	// 0 means DefaultExactMaxInputs, negative disables them.
+	// 0 means DefaultExactMaxInputs, negative disables them. The exact
+	// solvers reject instances over 64 inputs whatever it says, and the race
+	// goes on without them.
 	ExactMaxInputs int
 	// ExactMaxNodes caps the exact solvers' search nodes; 0 means
 	// DefaultExactMaxNodes.
@@ -285,10 +287,10 @@ func (p *Planner) solveAndRecord(ctx context.Context, req Request, cn *canonical
 	return p.finish(req, cn, plan, false, false, start), nil
 }
 
-// finish materializes the canonical plan for the request and fills the
-// result envelope.
+// finish renames the canonical plan to the request's IDs (one fresh copy,
+// never the cached schema itself) and fills the result envelope.
 func (p *Planner) finish(req Request, cn *canonical, plan *cachedPlan, hit, shared bool, start time.Time) *Result {
-	schema := cn.materialize(req, plan.schema)
+	schema := plan.schema.Renamed(cn.perm, cn.yPerm, cn.swapped)
 	var total core.Size
 	if req.Problem == core.ProblemA2A {
 		total = req.Set.TotalSize()

@@ -17,7 +17,10 @@
 //     appear on one side of a feasible instance; each big input is paired
 //     with bins of the opposite side packed into its residual capacity.
 //   - Greedy: a coverage-greedy baseline.
-//   - Exact: a branch-and-bound solver for small instances.
+//   - Exact: a branch-and-bound solver for small instances. Its search state
+//     is machine words (uint64 X and Y masks per open reducer and a uint64
+//     row of covered Y inputs per X input), so it rejects instances over 64
+//     inputs in total.
 //   - Lower bounds on reducers and communication.
 //
 // Solve dispatches automatically.

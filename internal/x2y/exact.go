@@ -3,6 +3,7 @@ package x2y
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 )
@@ -15,10 +16,15 @@ var ErrTooLargeForExact = errors.New("x2y: instance too large for the exact solv
 // returned schema is the best found so far (valid but possibly suboptimal).
 var ErrNodeBudget = errors.New("x2y: exact solver node budget exhausted")
 
+// maxExactInputs is the hard ceiling on Exact's instance size (|X| + |Y|):
+// the search keeps each side of a reducer and each X input's coverage row in
+// one uint64.
+const maxExactInputs = 64
+
 // ExactOptions configures the exact solver.
 type ExactOptions struct {
 	// MaxInputs caps the total number of inputs (|X| + |Y|); 0 means the
-	// default of 12.
+	// default of 12. Instances over 64 inputs are always rejected.
 	MaxInputs int
 	// MaxNodes caps the number of explored nodes; 0 means 2 million.
 	MaxNodes int
@@ -28,6 +34,10 @@ type ExactOptions struct {
 // analogous to the A2A exact solver: pick the first uncovered cross pair,
 // branch on covering it inside an existing reducer or in a fresh reducer, and
 // prune against the incumbent heuristic solution and the lower bound.
+//
+// The search state is machine words: an X mask and a Y mask per open reducer
+// and a uint64 row of covered Y inputs per X input, so instances over 64
+// inputs return ErrTooLargeForExact whatever MaxInputs says.
 func Exact(xs, ys *core.InputSet, q core.Size, opts ExactOptions) (*core.MappingSchema, error) {
 	const algorithm = "x2y/exact"
 	if opts.MaxInputs == 0 {
@@ -36,8 +46,8 @@ func Exact(xs, ys *core.InputSet, q core.Size, opts ExactOptions) (*core.Mapping
 	if opts.MaxNodes == 0 {
 		opts.MaxNodes = 2_000_000
 	}
-	if xs.Len()+ys.Len() > opts.MaxInputs {
-		return nil, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, xs.Len()+ys.Len(), opts.MaxInputs)
+	if limit := min(opts.MaxInputs, maxExactInputs); xs.Len()+ys.Len() > limit {
+		return nil, fmt.Errorf("%w: %d inputs > limit %d", ErrTooLargeForExact, xs.Len()+ys.Len(), limit)
 	}
 	if xs.Len() == 0 || ys.Len() == 0 {
 		return emptySchema(q, algorithm), nil
@@ -53,16 +63,28 @@ func Exact(xs, ys *core.InputSet, q core.Size, opts ExactOptions) (*core.Mapping
 	if err != nil {
 		return nil, err
 	}
+	best := incumbent.NumReducers()
+	bestRed := make([]exactReducer, best)
+	for i, r := range incumbent.Reducers {
+		bestRed[i] = exactReducer{x: r.XInputs, y: r.YInputs}
+	}
+	nx, ny := xs.Len(), ys.Len()
+	pairs := nx * ny
 	s := &exactSearch{
-		xs: xs, ys: ys, q: q,
-		nx: xs.Len(), ny: ys.Len(),
-		best:     incumbent.NumReducers(),
-		bestRed:  cloneReducers(incumbent),
+		xSizes: xs.Sizes(), ySizes: ys.Sizes(), q: q,
+		nx: nx, ny: ny,
+		best:     best,
+		bestRed:  bestRed,
 		maxNodes: opts.MaxNodes,
 		lower:    LowerBounds(xs, ys, q).Reducers,
+		xMasks:   make([]uint64, best),
+		yMasks:   make([]uint64, best),
+		loads:    make([]core.Size, best),
+		// Every move covers at least one pair, so the tree is at most
+		// pairs deep.
+		frames: make([]uint64, (pairs+1)*nx),
 	}
-	covered := make([]bool, s.nx*s.ny)
-	s.search(covered, s.nx*s.ny, nil)
+	s.search(0, 0, pairs, 0)
 
 	ms := &core.MappingSchema{Problem: core.ProblemX2Y, Capacity: q, Algorithm: algorithm}
 	for _, r := range s.bestRed {
@@ -76,22 +98,31 @@ func Exact(xs, ys *core.InputSet, q core.Size, opts ExactOptions) (*core.Mapping
 
 type exactReducer struct {
 	x, y []int
-	load core.Size
 }
 
+// exactSearch is the branch-and-bound state. Open reducer r holds the X
+// inputs xMasks[r] and the Y inputs yMasks[r] at load loads[r]. frames is a
+// stack of coverage frames, nx words each: word x of the frame at depth d
+// holds the Y inputs already covered with X input x. A move copies its frame
+// one level down and edits the copy, so backtracking is just returning.
 type exactSearch struct {
-	xs, ys    *core.InputSet
-	q         core.Size
-	nx, ny    int
-	best      int
-	bestRed   []exactReducer
-	nodes     int
-	maxNodes  int
-	exhausted bool
-	lower     int
+	xSizes, ySizes []core.Size
+	q              core.Size
+	nx, ny         int
+	best           int
+	bestRed        []exactReducer
+	nodes          int
+	maxNodes       int
+	exhausted      bool
+	lower          int
+	xMasks, yMasks []uint64
+	loads          []core.Size
+	frames         []uint64
 }
 
-func (s *exactSearch) search(covered []bool, remaining int, reducers []exactReducer) {
+// search explores assignments from the coverage frame at depth with n open
+// reducers and remaining uncovered cross pairs, all of them in rows >= from.
+func (s *exactSearch) search(depth, n, remaining, from int) {
 	if s.exhausted || s.best == s.lower {
 		return
 	}
@@ -101,32 +132,36 @@ func (s *exactSearch) search(covered []bool, remaining int, reducers []exactRedu
 		return
 	}
 	if remaining == 0 {
-		if len(reducers) < s.best {
-			s.best = len(reducers)
-			s.bestRed = make([]exactReducer, len(reducers))
-			for i, r := range reducers {
-				s.bestRed[i] = exactReducer{x: append([]int(nil), r.x...), y: append([]int(nil), r.y...), load: r.load}
+		if n < s.best {
+			s.best = n
+			s.bestRed = make([]exactReducer, n)
+			for r := range s.bestRed {
+				s.bestRed[r] = exactReducer{x: maskIDs(s.xMasks[r]), y: maskIDs(s.yMasks[r])}
 			}
 		}
 		return
 	}
-	if len(reducers) >= s.best {
+	if n >= s.best {
 		return
 	}
-	// First uncovered cross pair.
-	idx := 0
-	for covered[idx] {
-		idx++
+	nx := s.nx
+	cov := s.frames[depth*nx : (depth+1)*nx]
+	next := s.frames[(depth+1)*nx : (depth+2)*nx]
+	// First uncovered cross pair, in (x, y) order.
+	allY := uint64(1)<<s.ny - 1
+	px := from
+	for cov[px] == allY {
+		px++
 	}
-	px, py := idx/s.ny, idx%s.ny
-	wx, wy := s.xs.Size(px), s.ys.Size(py)
+	py := bits.TrailingZeros64(^cov[px] & allY)
+	bx, by := uint64(1)<<px, uint64(1)<<py
+	wx, wy := s.xSizes[px], s.ySizes[py]
 
 	// Option A: cover inside an existing reducer.
-	for r := range reducers {
-		hasX := containsInt(reducers[r].x, px)
-		hasY := containsInt(reducers[r].y, py)
+	for r := 0; r < n; r++ {
+		xm, ym := s.xMasks[r], s.yMasks[r]
 		var extra core.Size
-		switch {
+		switch hasX, hasY := xm&bx != 0, ym&by != 0; {
 		case hasX && hasY:
 			continue
 		case hasX:
@@ -136,67 +171,42 @@ func (s *exactSearch) search(covered []bool, remaining int, reducers []exactRedu
 		default:
 			extra = wx + wy
 		}
-		if reducers[r].load+extra > s.q {
+		if s.loads[r]+extra > s.q {
 			continue
 		}
-		var newly []int
-		if !hasX {
-			reducers[r].x = append(reducers[r].x, px)
+		// Every X member is now covered with every Y member.
+		nxm, nym := xm|bx, ym|by
+		copy(next, cov)
+		newly := 0
+		for a := nxm; a != 0; a &= a - 1 {
+			x := bits.TrailingZeros64(a)
+			newly += bits.OnesCount64(nym &^ cov[x])
+			next[x] |= nym
 		}
-		if !hasY {
-			reducers[r].y = append(reducers[r].y, py)
-		}
-		for _, x := range reducers[r].x {
-			for _, y := range reducers[r].y {
-				i := x*s.ny + y
-				if !covered[i] {
-					covered[i] = true
-					newly = append(newly, i)
-				}
-			}
-		}
-		reducers[r].load += extra
+		s.xMasks[r], s.yMasks[r] = nxm, nym
+		s.loads[r] += extra
 
-		s.search(covered, remaining-len(newly), reducers)
+		s.search(depth+1, n, remaining-newly, px)
 
-		reducers[r].load -= extra
-		for _, i := range newly {
-			covered[i] = false
-		}
-		if !hasY {
-			reducers[r].y = reducers[r].y[:len(reducers[r].y)-1]
-		}
-		if !hasX {
-			reducers[r].x = reducers[r].x[:len(reducers[r].x)-1]
-		}
+		s.xMasks[r], s.yMasks[r] = xm, ym
+		s.loads[r] -= extra
 	}
 
 	// Option B: open a new reducer with exactly this pair.
-	if len(reducers)+1 < s.best && wx+wy <= s.q {
-		covered[idx] = true
-		reducers = append(reducers, exactReducer{x: []int{px}, y: []int{py}, load: wx + wy})
-		s.search(covered, remaining-1, reducers)
-		covered[idx] = false
+	if n+1 < s.best && wx+wy <= s.q {
+		copy(next, cov)
+		next[px] |= by
+		s.xMasks[n], s.yMasks[n] = bx, by
+		s.loads[n] = wx + wy
+		s.search(depth+1, n+1, remaining-1, px)
 	}
 }
 
-func containsInt(ids []int, v int) bool {
-	for _, id := range ids {
-		if id == v {
-			return true
-		}
+// maskIDs lists the set bits of mask in ascending order.
+func maskIDs(mask uint64) []int {
+	ids := make([]int, 0, bits.OnesCount64(mask))
+	for ; mask != 0; mask &= mask - 1 {
+		ids = append(ids, bits.TrailingZeros64(mask))
 	}
-	return false
-}
-
-func cloneReducers(ms *core.MappingSchema) []exactReducer {
-	out := make([]exactReducer, len(ms.Reducers))
-	for i, r := range ms.Reducers {
-		out[i] = exactReducer{
-			x:    append([]int(nil), r.XInputs...),
-			y:    append([]int(nil), r.YInputs...),
-			load: r.Load,
-		}
-	}
-	return out
+	return ids
 }

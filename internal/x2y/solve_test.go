@@ -184,6 +184,16 @@ func TestExactTooLarge(t *testing.T) {
 	}
 }
 
+// TestExactTooLargeForWords: the search state is one machine word per side,
+// so 65 inputs are rejected even when MaxInputs would allow them.
+func TestExactTooLargeForWords(t *testing.T) {
+	xs, _ := core.UniformInputSet(33, 1)
+	ys, _ := core.UniformInputSet(32, 1)
+	if _, err := Exact(xs, ys, 4, ExactOptions{MaxInputs: 100}); !errors.Is(err, ErrTooLargeForExact) {
+		t.Errorf("Exact = %v, want ErrTooLargeForExact", err)
+	}
+}
+
 func TestExactInfeasible(t *testing.T) {
 	xs := core.MustNewInputSet([]core.Size{9})
 	ys := core.MustNewInputSet([]core.Size{9})
